@@ -11,20 +11,24 @@
 //! through the crash-proof fallback ladder with deterministic faults
 //! (panics, timeouts, infeasible residues) armed at rate `R` (default
 //! 0.3), asserting that the process never aborts, every shape comes back
-//! with a [`FractureStatus`], and every non-`Failed` outcome carries
-//! shots. It finishes with a deadline-bounded layout run that must
-//! return within twice the configured deadline. Exit code is non-zero if
-//! any invariant is violated.
+//! with a [`FractureStatus`](maskfrac_fracture::FractureStatus), and
+//! every non-`Failed` outcome carries shots. It finishes with a
+//! deadline-bounded layout run that must return within twice the
+//! configured deadline. Exit code is non-zero if any invariant is
+//! violated.
 //!
 //! Run with `cargo run -p maskfrac-bench --release --bin robustness
 //! [-- --inject]`. Both modes honour `--trace` (stderr span tree) and
 //! `--metrics-out <path>` (run-report copy), and always write the
 //! machine-readable run report `results/BENCH_robustness.json` (see
-//! `docs/observability.md`).
+//! `docs/observability.md`). The `--inject` suite's shot counts are
+//! pinned in `crates/bench/tests/drift_gates.rs`.
 
 use maskfrac_baselines::{FallbackFracturer, GreedySetCover, MaskFracturer, Ours, ProtoEda};
-use maskfrac_bench::{apply_obs_flags, finish_run_report, save_json};
-use maskfrac_fracture::{faults, FaultPlan, FractureConfig, FractureStatus};
+use maskfrac_bench::{
+    apply_obs_flags, finish_run_report, run_injection_suite, save_json, suite_fingerprint,
+};
+use maskfrac_fracture::FractureConfig;
 use maskfrac_obs::json::Value;
 use maskfrac_obs::ShapeRecord;
 use maskfrac_shapes::ilt::{generate_ilt_clip, IltParams};
@@ -51,31 +55,6 @@ impl RobustnessRow {
             ("gsc_shots", self.gsc_shots.into()),
         ])
     }
-}
-
-/// FNV-1a hash of the clip ids and vertex coordinates this mode
-/// fractures, published in the run report as the
-/// `robustness.bench.suite_fingerprint` counter. CI's drift check on
-/// `results/BENCH_robustness.json` keys on it (same discipline as the
-/// refine and layout baselines): shot counts are only comparable
-/// between runs over the same geometry, so a baseline from a different
-/// generator build bootstraps instead of flagging a false regression.
-fn suite_fingerprint(clips: &[(String, maskfrac_geom::Polygon)]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for (id, polygon) in clips {
-        eat(id.as_bytes());
-        for p in polygon.vertices() {
-            eat(&p.x.to_le_bytes());
-            eat(&p.y.to_le_bytes());
-        }
-    }
-    h
 }
 
 fn mean_and_std(values: &[f64]) -> (f64, f64) {
@@ -110,99 +89,23 @@ fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
 }
 
 /// Runs the benchmark suite through the fallback ladder under armed
-/// deterministic faults, then a deadline-bounded layout run. Returns a
-/// non-zero exit code if any robustness invariant is violated.
+/// deterministic faults ([`run_injection_suite`]), then a
+/// deadline-bounded layout run. Returns a non-zero exit code if any
+/// robustness invariant is violated.
 fn injection_harness(seed: u64, rate: f64, shapes: &mut Vec<ShapeRecord>) -> ExitCode {
     println!("== Fault injection: suite under panics/timeouts/infeasible residues ==");
     println!("plan: seed {seed}, per-kind rate {rate:.2}");
     let cfg = FractureConfig::default();
-    let mut violations = Vec::new();
-    let mut status_counts: BTreeMap<FractureStatus, usize> = BTreeMap::new();
-
-    {
-        let _scope = faults::arm_scoped(FaultPlan::uniform(seed, rate));
-        let ladder = FallbackFracturer::new(cfg.clone());
-        let mut clips: Vec<(String, maskfrac_geom::Polygon)> = maskfrac_shapes::ilt_suite()
-            .into_iter()
-            .map(|c| (c.id, c.polygon))
-            .collect();
-        // Degenerate inputs ride along: the harness must survive them too.
-        clips.push((
-            "sliver".into(),
-            maskfrac_geom::Polygon::from_rect(
-                maskfrac_geom::Rect::new(0, 0, 60, 4).expect("rect"),
-            ),
-        ));
-        let fingerprint = suite_fingerprint(&clips);
-        maskfrac_obs::counter!("robustness.bench.suite_fingerprint").add(fingerprint);
-        println!("suite fingerprint {fingerprint:#018x}");
-        for (id, polygon) in &clips {
-            let out = ladder.fracture(polygon);
-            *status_counts.entry(out.result.status).or_insert(0) += 1;
-            shapes.push(ShapeRecord {
-                id: id.clone(),
-                status: out.result.status.label().to_owned(),
-                method: out.method.to_owned(),
-                shots: out.result.shot_count(),
-                fail_pixels: out.result.summary.fail_count(),
-                runtime_s: out.result.runtime.as_secs_f64(),
-                attempts: out.attempts as usize,
-                iterations: out.result.iterations,
-                on_fail_pixels: out.result.summary.on_fails,
-                off_fail_pixels: out.result.summary.off_fails,
-                deadline_hit: out.result.deadline_hit,
-                ..ShapeRecord::default()
-            });
-            println!(
-                "  {:10} [{} via {}] {} shots in {} attempt(s){}",
-                id,
-                out.result.status,
-                out.method,
-                out.result.shot_count(),
-                out.attempts,
-                out.error.as_deref().map(|e| format!(" — {e}")).unwrap_or_default()
-            );
-            if out.result.status != FractureStatus::Failed && out.result.shots.is_empty() {
-                violations.push(format!("{id}: usable status but empty shot list"));
-            }
-            if out.result.status == FractureStatus::Failed && out.error.is_none() {
-                violations.push(format!("{id}: Failed without a recorded cause"));
-            }
-        }
-
-        // The multi-threaded layout driver under the same plan.
-        let mut layout = maskfrac_mdp::Layout::new("inject-demo");
-        for (i, (id, polygon)) in clips.iter().enumerate() {
-            layout.add_shape(id, polygon.clone());
-            layout.place(id, maskfrac_mdp::Placement::at(i as i64 * 1000, 0));
-        }
-        let report = maskfrac_mdp::fracture_layout(&layout, &cfg, 4);
-        if report.per_shape.len() != clips.len() {
-            violations.push(format!(
-                "layout run lost shapes: {} of {} reported",
-                report.per_shape.len(),
-                clips.len()
-            ));
-        }
-        println!(
-            "layout run: {} shapes, worst status {}, status counts {:?}",
-            report.per_shape.len(),
-            report.worst_status(),
-            report
-                .status_counts()
-                .iter()
-                .map(|(k, v)| (k.label(), *v))
-                .collect::<Vec<_>>()
-        );
+    let outcome = run_injection_suite(seed, rate);
+    maskfrac_obs::counter!("robustness.bench.suite_fingerprint").add(outcome.fingerprint);
+    println!("suite fingerprint {:#018x}", outcome.fingerprint);
+    let mut violations = outcome.violations;
+    shapes.extend(outcome.shapes);
+    let mut status_counts: BTreeMap<&str, usize> = BTreeMap::new();
+    for s in shapes.iter() {
+        *status_counts.entry(s.status.as_str()).or_insert(0) += 1;
     }
-
-    println!(
-        "suite statuses: {:?}",
-        status_counts
-            .iter()
-            .map(|(k, v)| (k.label(), *v))
-            .collect::<Vec<_>>()
-    );
+    println!("suite statuses: {status_counts:?}");
 
     // Deadline demo, faults disarmed: a bounded run must come back within
     // twice the budget (slack for the unbounded classification stage).
@@ -266,7 +169,7 @@ fn ranking_study(shapes: &mut Vec<ShapeRecord>) {
             (format!("random-clip-{k}"), clip)
         })
         .collect();
-    let fingerprint = suite_fingerprint(&clips);
+    let fingerprint = suite_fingerprint(clips.iter().map(|(id, p)| (id.as_str(), p)));
     maskfrac_obs::counter!("robustness.bench.suite_fingerprint").add(fingerprint);
     println!("suite fingerprint {fingerprint:#018x}");
     println!(

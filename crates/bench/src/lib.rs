@@ -14,12 +14,20 @@
 //!
 //! Each binary prints the paper-format rows and writes machine-readable
 //! JSON under `results/`.
+//!
+//! The library also holds what the binaries share with the drift gates
+//! in `tests/drift_gates.rs`: the suite fingerprints
+//! ([`suite_fingerprint`], [`layout_fingerprint`]) and the fault-injected
+//! suite run ([`run_injection_suite`]).
 
 #![warn(missing_docs)]
 
-use maskfrac_baselines::MaskFracturer;
-use maskfrac_geom::Polygon;
+use maskfrac_baselines::{FallbackFracturer, MaskFracturer};
+use maskfrac_fracture::{faults, FaultPlan, FractureConfig, FractureStatus};
+use maskfrac_geom::{Polygon, Rect};
+use maskfrac_mdp::{Layout, Placement};
 use maskfrac_obs::json::Value;
+use maskfrac_obs::ShapeRecord;
 use std::path::{Path, PathBuf};
 
 /// One method's result on one benchmark instance.
@@ -271,6 +279,139 @@ pub fn print_clip_row(result: &ClipResult) {
         );
     }
     println!();
+}
+
+fn push_shape(bytes: &mut Vec<u8>, id: &str, polygon: &Polygon) {
+    bytes.extend_from_slice(id.as_bytes());
+    for p in polygon.vertices() {
+        bytes.extend_from_slice(&p.x.to_le_bytes());
+        bytes.extend_from_slice(&p.y.to_le_bytes());
+    }
+}
+
+/// FNV-1a hash of a suite's shape ids and vertex coordinates, in order.
+/// Shot counts are only comparable between runs over the same geometry,
+/// so the drift gates pin this next to the shot counts: a generator
+/// change fails there by name instead of as unexplained drift.
+pub fn suite_fingerprint<'a>(shapes: impl IntoIterator<Item = (&'a str, &'a Polygon)>) -> u64 {
+    let mut bytes = Vec::new();
+    for (id, polygon) in shapes {
+        push_shape(&mut bytes, id, polygon);
+    }
+    faults::fingerprint(&bytes)
+}
+
+/// [`suite_fingerprint`] of a layout's library, followed by every
+/// placement (shape name, offset and D4 transform index): a hierarchical
+/// run's totals depend on the instance mix, not just the cells.
+pub fn layout_fingerprint(layout: &Layout) -> u64 {
+    let mut bytes = Vec::new();
+    for (name, polygon) in layout.shapes() {
+        push_shape(&mut bytes, name, polygon);
+    }
+    for (name, placement) in layout.placements() {
+        bytes.extend_from_slice(name.as_bytes());
+        bytes.extend_from_slice(&placement.offset.x.to_le_bytes());
+        bytes.extend_from_slice(&placement.offset.y.to_le_bytes());
+        bytes.push(placement.transform.index());
+    }
+    faults::fingerprint(&bytes)
+}
+
+/// What [`run_injection_suite`] observed.
+#[derive(Debug, Clone)]
+pub struct InjectionOutcome {
+    /// [`suite_fingerprint`] of the fractured suite.
+    pub fingerprint: u64,
+    /// One ledger row per suite shape, in suite order.
+    pub shapes: Vec<ShapeRecord>,
+    /// Every broken robustness invariant, one line each.
+    pub violations: Vec<String>,
+}
+
+/// Runs the ten ILT clips plus a degenerate sliver through the fallback
+/// ladder, then through the 4-worker layout driver, with
+/// `FaultPlan::uniform(seed, rate)` armed for the whole run. Records a violation when a usable status
+/// comes back without shots, when `Failed` has no recorded cause, or when
+/// the layout run loses a shape. The armed plan is process-global:
+/// callers must not fracture anything else concurrently.
+pub fn run_injection_suite(seed: u64, rate: f64) -> InjectionOutcome {
+    let cfg = FractureConfig::default();
+    let _scope = faults::arm_scoped(FaultPlan::uniform(seed, rate));
+    let ladder = FallbackFracturer::new(cfg.clone());
+    let mut clips: Vec<(String, Polygon)> = maskfrac_shapes::ilt_suite()
+        .into_iter()
+        .map(|c| (c.id, c.polygon))
+        .collect();
+    clips.push((
+        "sliver".into(),
+        Polygon::from_rect(Rect::new(0, 0, 60, 4).expect("rect")),
+    ));
+    let fingerprint = suite_fingerprint(clips.iter().map(|(id, p)| (id.as_str(), p)));
+    let mut shapes = Vec::new();
+    let mut violations = Vec::new();
+    for (id, polygon) in &clips {
+        let out = ladder.fracture(polygon);
+        shapes.push(ShapeRecord {
+            id: id.clone(),
+            status: out.result.status.label().to_owned(),
+            method: out.method.to_owned(),
+            shots: out.result.shot_count(),
+            fail_pixels: out.result.summary.fail_count(),
+            runtime_s: out.result.runtime.as_secs_f64(),
+            attempts: out.attempts as usize,
+            iterations: out.result.iterations,
+            on_fail_pixels: out.result.summary.on_fails,
+            off_fail_pixels: out.result.summary.off_fails,
+            deadline_hit: out.result.deadline_hit,
+            ..ShapeRecord::default()
+        });
+        println!(
+            "  {:10} [{} via {}] {} shots in {} attempt(s){}",
+            id,
+            out.result.status,
+            out.method,
+            out.result.shot_count(),
+            out.attempts,
+            out.error.as_deref().map(|e| format!(" — {e}")).unwrap_or_default()
+        );
+        if out.result.status != FractureStatus::Failed && out.result.shots.is_empty() {
+            violations.push(format!("{id}: usable status but empty shot list"));
+        }
+        if out.result.status == FractureStatus::Failed && out.error.is_none() {
+            violations.push(format!("{id}: Failed without a recorded cause"));
+        }
+    }
+
+    // The multi-threaded layout driver under the same plan.
+    let mut layout = Layout::new("inject-demo");
+    for (i, (id, polygon)) in clips.iter().enumerate() {
+        layout.add_shape(id, polygon.clone());
+        layout.place(id, Placement::at(i as i64 * 1000, 0));
+    }
+    let report = maskfrac_mdp::fracture_layout(&layout, &cfg, 4);
+    if report.per_shape.len() != clips.len() {
+        violations.push(format!(
+            "layout run lost shapes: {} of {} reported",
+            report.per_shape.len(),
+            clips.len()
+        ));
+    }
+    println!(
+        "layout run: {} shapes, worst status {}, status counts {:?}",
+        report.per_shape.len(),
+        report.worst_status(),
+        report
+            .status_counts()
+            .iter()
+            .map(|(k, v)| (k.label(), *v))
+            .collect::<Vec<_>>()
+    );
+    InjectionOutcome {
+        fingerprint,
+        shapes,
+        violations,
+    }
 }
 
 #[cfg(test)]

@@ -88,23 +88,12 @@ pub fn refine(
     initial: Vec<Rect>,
 ) -> RefineOutcome {
     let deadline = cfg.deadline.map(|d| std::time::Instant::now() + d);
-    refine_until(cls, model, cfg, initial, deadline)
+    refine_until_with(cls, model, cfg, initial, deadline, &mut FractureScratch::new())
 }
 
 /// [`refine`] against an absolute deadline (already-started clock), used
 /// by the pipeline so validation and the approximate stage count against
-/// the same budget.
-pub fn refine_until(
-    cls: &Classification,
-    model: &ExposureModel,
-    cfg: &FractureConfig,
-    initial: Vec<Rect>,
-    deadline: Option<std::time::Instant>,
-) -> RefineOutcome {
-    refine_until_with(cls, model, cfg, initial, deadline, &mut FractureScratch::new())
-}
-
-/// [`refine_until`] with an explicit [`FractureScratch`] arena: the
+/// the same budget, with an explicit [`FractureScratch`] arena: the
 /// intensity grid and the engine's candidate cache are recycled from (and
 /// handed back to) `scratch`, so repeated calls on one worker thread
 /// allocate nothing in steady state.
@@ -340,24 +329,14 @@ pub fn reduce_shots(
     shots: Vec<Rect>,
 ) -> RefineOutcome {
     let deadline = cfg.deadline.map(|d| std::time::Instant::now() + d);
-    reduce_shots_until(cls, model, cfg, shots, deadline)
-}
-
-/// [`reduce_shots`] against an absolute deadline; the sweep stops between
-/// candidate removals once the deadline passes.
-pub fn reduce_shots_until(
-    cls: &Classification,
-    model: &ExposureModel,
-    cfg: &FractureConfig,
-    shots: Vec<Rect>,
-    deadline: Option<std::time::Instant>,
-) -> RefineOutcome {
     reduce_shots_until_with(cls, model, cfg, shots, deadline, &mut FractureScratch::new())
 }
 
-/// [`reduce_shots_until`] with an explicit [`FractureScratch`] arena (see
-/// [`refine_until_with`]): the screening map and every bounded refinement
-/// run inside the sweep recycle the same buffers.
+/// [`reduce_shots`] against an absolute deadline, with an explicit
+/// [`FractureScratch`] arena (see [`refine_until_with`]): the sweep stops
+/// between candidate removals once the deadline passes, and the screening
+/// map and every bounded refinement run inside it recycle the same
+/// buffers.
 pub fn reduce_shots_until_with(
     cls: &Classification,
     model: &ExposureModel,
