@@ -136,10 +136,11 @@ const REFINE_PINNED: [(&str, usize, usize); 3] =
     [("Clip-1", 7, 0), ("Clip-5", 11, 5), ("Clip-10", 15, 0)];
 
 /// Work counters of the three 1-thread refinement runs together.
-const REFINE_T1_COUNTERS: [(&str, u64); 4] = [
+const REFINE_T1_COUNTERS: [(&str, u64); 5] = [
     ("refine.candidates.scored", 33_498),
     ("refine.candidates.screened", 19_200),
     ("refine.candidates.improving", 12_806),
+    ("refine.window.px_scanned", 8_564_976),
     ("fracture.refine.iterations", 616),
 ];
 
@@ -169,8 +170,7 @@ fn refine_gate_clip_shots_and_work_counters() {
     );
     // Counters are process-global and monotone; with the gates
     // serialized, the delta across the 1-thread runs is exactly their
-    // work. (Resetting the registry instead would leave zero-count stages
-    // that make the robustness gate's run report invalid.)
+    // work.
     let before = REFINE_T1_COUNTERS.map(|(name, _)| maskfrac_obs::counter(name).get());
     let t1 = refine_all(&fracturer, &base, &starts, 1);
     for ((name, pinned), before) in REFINE_T1_COUNTERS.into_iter().zip(before) {

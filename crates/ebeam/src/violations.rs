@@ -12,6 +12,7 @@
 //! count.
 
 use crate::classify::{Classification, PixelClass};
+use crate::intensity::ExposureModel;
 use crate::map::IntensityMap;
 use maskfrac_geom::{Bitmap, Rect};
 
@@ -67,16 +68,17 @@ pub fn pixel_fails(class: PixelClass, intensity: f64, rho: f64) -> bool {
 ///
 /// Panics if the classification and map frames differ.
 pub fn evaluate(cls: &Classification, map: &IntensityMap) -> FailureSummary {
-    scan(cls, map, |_, _, _| {})
+    scan(cls, map, |_, _, _, _, _| {})
 }
 
-/// The full-frame scan behind [`evaluate`], reporting every failing
-/// pixel to `on_fail` as `(ix, iy, class)` so [`ViolationTracker`] can
-/// count its tiles in the same pass.
+/// The full-frame scan behind [`evaluate`], reporting every constrained
+/// pixel to `visit` as `(ix, iy, class, intensity, fails)` so
+/// [`ViolationTracker`] can count its tiles and mark its live pixels in
+/// the same pass.
 fn scan(
     cls: &Classification,
     map: &IntensityMap,
-    mut on_fail: impl FnMut(usize, usize, PixelClass),
+    mut visit: impl FnMut(usize, usize, PixelClass, f64, bool),
 ) -> FailureSummary {
     assert_eq!(cls.frame(), map.frame(), "frames must match");
     maskfrac_obs::counter!("ebeam.intensity.evaluations").incr();
@@ -89,15 +91,16 @@ fn scan(
                 continue;
             }
             let i = map.value(ix, iy);
-            if pixel_fails(class, i, rho) {
+            let fails = pixel_fails(class, i, rho);
+            if fails {
                 match class {
                     PixelClass::On => summary.on_fails += 1,
                     PixelClass::Off => summary.off_fails += 1,
                     PixelClass::Band => unreachable!(),
                 }
                 summary.cost += (i - rho).abs();
-                on_fail(ix, iy, class);
             }
+            visit(ix, iy, class, i, fails);
         }
     }
     summary
@@ -125,6 +128,41 @@ fn tile_index(tiles_x: usize, ix: usize, iy: usize) -> usize {
     (iy / TILE_PX) * tiles_x + ix / TILE_PX
 }
 
+/// Half-width of the band around `ρ` inside which a passing pixel is
+/// *live* for [`ViolationTracker::score_strip`]: twice the peak edge
+/// factor of a 1 nm strip (`≈ 0.180` at the paper's σ = 6.25 nm).
+///
+/// A strip is scored over live pixels only when its peak intensity is at
+/// most half this band. That admits every 1 nm edge strip (its peak is
+/// that edge factor times an along-edge factor `<= 1`) and leaves 2 nm
+/// strips (peak `≈ 0.178`) and whole-shot probes on the dense scan. See
+/// `docs/performance.md`, "Live-pixel scoring".
+fn live_band(model: &ExposureModel) -> f64 {
+    2.0 * model.edge_factor(0.0, 1.0, 0.5)
+}
+
+/// Whether a pixel is live: constrained, and failing or within `band`
+/// of `ρ`.
+#[inline]
+fn is_live(class: PixelClass, fails: bool, intensity: f64, rho: f64, band: f64) -> bool {
+    class != PixelClass::Band && (fails || (intensity - rho).abs() <= band)
+}
+
+/// Bits per word of the live-pixel mask.
+const WORD_PX: usize = 64;
+
+/// One strip scored by [`ViolationTracker::score_strip`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StripScore {
+    /// The change in `cost_ref`, bit-identical to [`cost_delta_for_strip`].
+    pub delta: f64,
+    /// Pixels whose cost term was computed.
+    pub px_scanned: u64,
+    /// Whether only live pixels were visited (`false`: the strip's peak
+    /// exceeded the live band's margin and the dense window scan ran).
+    pub sparse: bool,
+}
+
 /// A running [`FailureSummary`] kept in lockstep with an
 /// [`IntensityMap`].
 ///
@@ -141,7 +179,9 @@ fn tile_index(tiles_x: usize, ix: usize, iy: usize) -> usize {
 ///
 /// The same transitions keep per-tile counts of failing `Pon` and failing
 /// `Poff` pixels over 16×16 px tiles, which back the exact candidate
-/// screen [`may_improve`](Self::may_improve).
+/// screen [`may_improve`](Self::may_improve), and a per-pixel mask of
+/// *live* pixels (constrained, and failing or near `ρ`), which backs the
+/// exact sparse scorer [`score_strip`](Self::score_strip).
 ///
 /// # Example
 ///
@@ -165,6 +205,13 @@ pub struct ViolationTracker {
     tiles_x: usize,
     /// Failing-pixel counts per tile, row-major, one [`lane`] each.
     tiles: Vec<[u32; 2]>,
+    /// Mask words per frame row.
+    words_x: usize,
+    /// Live pixels ([`is_live`]), one bit per pixel: pixel `(ix, iy)` is
+    /// bit `ix % 64` of word `iy * words_x + ix / 64`.
+    live: Vec<u64>,
+    /// [`live_band`] of the map's model.
+    band: f64,
 }
 
 impl ViolationTracker {
@@ -178,6 +225,9 @@ impl ViolationTracker {
             summary: FailureSummary::default(),
             tiles_x: 0,
             tiles: Vec::new(),
+            words_x: 0,
+            live: Vec::new(),
+            band: 0.0,
         };
         tracker.resync(cls, map);
         tracker
@@ -199,6 +249,7 @@ impl ViolationTracker {
         let rho = map.model().rho();
         let summary = &mut self.summary;
         let (tiles, tiles_x) = (&mut self.tiles, self.tiles_x);
+        let (live, words_x, band) = (&mut self.live, self.words_x, self.band);
         map.apply_shot_visit(rect, sign, |ix, iy, old, new| {
             if old.to_bits() == new.to_bits() {
                 return; // zero edge factor: nothing changed
@@ -208,7 +259,11 @@ impl ViolationTracker {
                 return;
             }
             let fails = pixel_fails(class, new, rho);
-            if fails != pixel_fails(class, old, rho) {
+            let failed = pixel_fails(class, old, rho);
+            if is_live(class, fails, new, rho, band) != is_live(class, failed, old, rho, band) {
+                live[iy * words_x + ix / WORD_PX] ^= 1 << (ix % WORD_PX);
+            }
+            if fails != failed {
                 let count = match class {
                     PixelClass::On => &mut summary.on_fails,
                     PixelClass::Off => &mut summary.off_fails,
@@ -223,23 +278,112 @@ impl ViolationTracker {
                     *tile -= 1;
                 }
             }
-            summary.cost += pixel_cost(class, new, rho) - pixel_cost(class, old, rho);
+            // A pixel passing before and after would add an exact +0.0,
+            // which leaves the (never −0.0) running cost unchanged.
+            if fails || failed {
+                summary.cost += pixel_cost(class, new, rho) - pixel_cost(class, old, rho);
+            }
         });
     }
 
-    /// Re-derives the summary and the tile counts from one full scan
-    /// (used after mutations that bypassed [`apply`](Self::apply), and by
-    /// consistency checks).
+    /// Re-derives the summary, the tile counts and the live mask from one
+    /// full scan (used after mutations that bypassed
+    /// [`apply`](Self::apply), and by consistency checks).
     pub fn resync(&mut self, cls: &Classification, map: &IntensityMap) {
         let frame = cls.frame();
         let tiles_x = frame.width().div_ceil(TILE_PX);
-        let tiles = &mut self.tiles;
+        let words_x = frame.width().div_ceil(WORD_PX);
+        let (rho, band) = (map.model().rho(), live_band(map.model()));
+        let (tiles, live) = (&mut self.tiles, &mut self.live);
         tiles.clear();
         tiles.resize(tiles_x * frame.height().div_ceil(TILE_PX), [0, 0]);
+        live.clear();
+        live.resize(words_x * frame.height(), 0);
         self.tiles_x = tiles_x;
-        self.summary = scan(cls, map, |ix, iy, class| {
-            tiles[tile_index(tiles_x, ix, iy)][lane(class)] += 1;
+        self.words_x = words_x;
+        self.band = band;
+        self.summary = scan(cls, map, |ix, iy, class, i, fails| {
+            if fails {
+                tiles[tile_index(tiles_x, ix, iy)][lane(class)] += 1;
+            }
+            if is_live(class, fails, i, rho, band) {
+                live[iy * words_x + ix / WORD_PX] |= 1 << (ix % WORD_PX);
+            }
         });
+    }
+
+    /// [`cost_delta_for_strip`], bit for bit, visiting only live pixels
+    /// when that is exact.
+    ///
+    /// Edge factors are `>= 0`, so the move changes no pixel's intensity
+    /// by more than the strip's peak `max(fx) · max(fy)`. When that peak
+    /// is at most half the live band, a pixel that is not live passes
+    /// with a margin above twice the peak, still passes after the move,
+    /// and its cost term is an exact `±0.0`. The dense scan's lane
+    /// accumulators start at `+0.0` and can never become `−0.0`, so
+    /// adding such a term leaves them unchanged: walking only the live
+    /// bits of each window row in ascending `ix`, into the same lane
+    /// `(ix − xs.start) & 3`, reproduces every lane sum exactly. Strips
+    /// with a larger peak take the dense scan.
+    pub fn score_strip(
+        &self,
+        cls: &Classification,
+        map: &IntensityMap,
+        strip: &Rect,
+        sign: f64,
+    ) -> StripScore {
+        strip_score(cls, map, strip, sign, Some(self))
+    }
+
+    /// The sparse window scan of [`score_strip`](Self::score_strip): the
+    /// dense scan's terms and lanes, restricted to live pixels. Returns
+    /// the delta and the number of terms computed.
+    #[allow(clippy::too_many_arguments)]
+    fn live_scored_delta(
+        &self,
+        cls: &Classification,
+        map: &IntensityMap,
+        fx: &[f64],
+        fy: &[f64],
+        sign: f64,
+        rho: f64,
+        xs: &std::ops::Range<usize>,
+        ys: &std::ops::Range<usize>,
+    ) -> (f64, u64) {
+        let mut acc = [0.0f64; 4];
+        let mut scanned = 0u64;
+        let (w0, w1) = (xs.start / WORD_PX, (xs.end - 1) / WORD_PX);
+        // Masks of the window's columns in its first and last word.
+        let head = !0u64 << (xs.start % WORD_PX);
+        let tail = !0u64 >> (WORD_PX - 1 - (xs.end - 1) % WORD_PX);
+        for (j, iy) in ys.clone().enumerate() {
+            let fyv = fy[j] * sign;
+            if fyv == 0.0 {
+                continue;
+            }
+            let values = map.row(iy, xs.clone());
+            let classes = cls.class_row(iy, xs.clone());
+            let words = &self.live[iy * self.words_x + w0..=iy * self.words_x + w1];
+            for (w, &word) in (w0..).zip(words) {
+                let mut bits = word;
+                if w == w0 {
+                    bits &= head;
+                }
+                if w == w1 {
+                    bits &= tail;
+                }
+                while bits != 0 {
+                    let k = w * WORD_PX + bits.trailing_zeros() as usize - xs.start;
+                    bits &= bits - 1;
+                    let s = classes[k].cost_sign();
+                    let old = values[k];
+                    let new = old + fx[k] * fyv;
+                    acc[k & 3] += (s * (new - rho)).max(0.0) - (s * (old - rho)).max(0.0);
+                    scanned += 1;
+                }
+            }
+        }
+        ((acc[0] + acc[1]) + (acc[2] + acc[3]), scanned)
     }
 
     /// Whether adding (`sign > 0`) or removing (`sign < 0`) `strip`'s
@@ -313,12 +457,29 @@ pub fn cost_delta_for_strip(
     strip: &Rect,
     sign: f64,
 ) -> f64 {
+    strip_score(cls, map, strip, sign, None).delta
+}
+
+/// Scores a strip as [`cost_delta_for_strip`] describes: over the live
+/// pixels of `tracker` when its [`score_strip`](ViolationTracker::score_strip)
+/// argument makes that exact, otherwise over the whole window.
+fn strip_score(
+    cls: &Classification,
+    map: &IntensityMap,
+    strip: &Rect,
+    sign: f64,
+    tracker: Option<&ViolationTracker>,
+) -> StripScore {
     let model = map.model();
     let rho = model.rho();
     let frame = cls.frame();
     let (xs, ys) = map.affected_window(strip);
     if xs.is_empty() || ys.is_empty() {
-        return 0.0;
+        return StripScore {
+            delta: 0.0,
+            px_scanned: 0,
+            sparse: false,
+        };
     }
     // Separable edge factors: one per column/row of the window. The
     // buffers are thread-local and grow-only — scoring runs on the
@@ -336,13 +497,26 @@ pub fn cost_delta_for_strip(
             let (_, cy) = frame.pixel_center(0, iy);
             model.edge_factor(strip.y0() as f64, strip.y1() as f64, cy)
         }));
-        lane_scored_delta(cls, map, fx, fy, sign, rho, &xs, &ys)
+        let sparse = tracker.filter(|t| {
+            let peak = fx.iter().fold(0.0, |m: f64, &f| m.max(f))
+                * fy.iter().fold(0.0, |m: f64, &f| m.max(f));
+            peak <= 0.5 * t.band
+        });
+        let (delta, px_scanned) = match sparse {
+            Some(t) => t.live_scored_delta(cls, map, fx, fy, sign, rho, &xs, &ys),
+            None => lane_scored_delta(cls, map, fx, fy, sign, rho, &xs, &ys),
+        };
+        StripScore {
+            delta,
+            px_scanned,
+            sparse: sparse.is_some(),
+        }
     })
 }
 
 /// The window scan of [`cost_delta_for_strip`]: accumulates each
 /// pixel's cost term into four fixed accumulator lanes, reduced through a
-/// fixed tree.
+/// fixed tree. Returns the delta and the number of terms computed.
 ///
 /// This loop is the refinement engine's hottest path (tens of thousands
 /// of strip scorings per clip), so it is written branch-free: row slices
@@ -374,18 +548,20 @@ fn lane_scored_delta(
     rho: f64,
     xs: &std::ops::Range<usize>,
     ys: &std::ops::Range<usize>,
-) -> f64 {
+) -> (f64, u64) {
     // Fixed chunk width for the scoring inner loop. 16 f64 lanes span two
     // AVX-512 / four AVX2 registers — wide enough to keep the vector
     // units busy, small enough to live on the stack.
     const CHUNK: usize = 16;
     let mut acc = [0.0f64; 4];
     let mut terms = [0.0f64; CHUNK];
+    let mut rows = 0u64;
     for (j, iy) in ys.clone().enumerate() {
         let fyv = fy[j] * sign;
         if fyv == 0.0 {
             continue;
         }
+        rows += 1;
         let values = map.row(iy, xs.clone());
         let classes = cls.class_row(iy, xs.clone());
         for ((fxc, clc), vc) in fx
@@ -405,7 +581,10 @@ fn lane_scored_delta(
             }
         }
     }
-    (acc[0] + acc[1]) + (acc[2] + acc[3])
+    (
+        (acc[0] + acc[1]) + (acc[2] + acc[3]),
+        rows * xs.len() as u64,
+    )
 }
 
 thread_local! {
@@ -517,12 +696,31 @@ mod tests {
         tiles
     }
 
+    /// Live-pixel mask recounted pixel by pixel from scratch.
+    fn recount_live(cls: &Classification, map: &IntensityMap) -> Vec<u64> {
+        let frame = cls.frame();
+        let words_x = frame.width().div_ceil(WORD_PX);
+        let mut live = vec![0u64; words_x * frame.height()];
+        let (rho, band) = (map.model().rho(), live_band(map.model()));
+        for iy in 0..frame.height() {
+            for ix in 0..frame.width() {
+                let (class, i) = (cls.class(ix, iy), map.value(ix, iy));
+                let near = (i - rho).abs() <= band;
+                if class != PixelClass::Band && (pixel_fails(class, i, rho) || near) {
+                    live[iy * words_x + ix / WORD_PX] |= 1 << (ix % WORD_PX);
+                }
+            }
+        }
+        live
+    }
+
     #[test]
     fn tracker_matches_full_evaluation_through_a_mutation_sequence() {
         let (cls, mut map) = setup(&[]);
         let mut tracker = ViolationTracker::new(&cls, &map);
         assert_eq!(tracker.summary(), evaluate(&cls, &map));
         assert_eq!(tracker.tiles, recount_tiles(&cls, &map));
+        assert_eq!(tracker.live, recount_live(&cls, &map));
         assert!(
             tracker.tiles.iter().any(|t| t[0] > 0),
             "empty solution fails inside"
@@ -550,12 +748,15 @@ mod tests {
                 full.cost
             );
             assert_eq!(tracker.tiles, recount_tiles(&cls, &map), "{rect} {sign}");
+            assert_eq!(tracker.live, recount_live(&cls, &map), "{rect} {sign}");
+            assert!(tracker.live.iter().any(|&w| w != 0), "{rect} {sign}");
         }
         // resync after an untracked mutation restores exactness.
         map.add_shot(&Rect::new(-8, -8, 2, 2).unwrap());
         tracker.resync(&cls, &map);
         assert_eq!(tracker.summary(), evaluate(&cls, &map));
         assert_eq!(tracker.tiles, recount_tiles(&cls, &map));
+        assert_eq!(tracker.live, recount_live(&cls, &map));
         assert!(
             tracker.tiles.iter().any(|t| t[1] > 0),
             "the corner shot overexposes"

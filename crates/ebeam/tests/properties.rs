@@ -1,9 +1,9 @@
 //! Property-based tests for the exposure model.
 
 use maskfrac_ebeam::violations::{cost_delta_for_strip, evaluate};
-use maskfrac_ebeam::{Classification, ExposureModel, IntensityMap};
+use maskfrac_ebeam::{Classification, ExposureModel, IntensityMap, ViolationTracker};
 use maskfrac_geom::rng::{for_cases, StdRng};
-use maskfrac_geom::{Polygon, Rect};
+use maskfrac_geom::{Point, Polygon, Rect};
 
 fn shot(rng: &mut StdRng) -> Rect {
     let (x, y) = (rng.gen_range(-30..=59), rng.gen_range(-30..=59));
@@ -114,6 +114,126 @@ fn strip_delta_predicts_full_evaluation() {
             after.cost - before.cost
         );
     });
+}
+
+/// A uniform index into a non-empty list of `len` items.
+fn pick(rng: &mut StdRng, len: usize) -> usize {
+    rng.gen_range(0..=len as i64 - 1) as usize
+}
+
+/// The strip a grow (`sign = +1`) or shrink (`sign = -1`) of one random
+/// edge of `shot` by 1 to 4 nm sweeps.
+fn edge_strip(rng: &mut StdRng, shot: &Rect, sign: f64) -> Rect {
+    let (s, d) = (shot, rng.gen_range(1..=4));
+    match (rng.gen_range(0..=3), sign > 0.0) {
+        (0, true) => Rect::new(s.x0() - d, s.y0(), s.x0(), s.y1()),
+        (0, false) => Rect::new(s.x0(), s.y0(), s.x0() + d, s.y1()),
+        (1, true) => Rect::new(s.x1(), s.y0(), s.x1() + d, s.y1()),
+        (1, false) => Rect::new(s.x1() - d, s.y0(), s.x1(), s.y1()),
+        (2, true) => Rect::new(s.x0(), s.y0() - d, s.x1(), s.y0()),
+        (2, false) => Rect::new(s.x0(), s.y0(), s.x1(), s.y0() + d),
+        (_, true) => Rect::new(s.x0(), s.y1(), s.x1(), s.y1() + d),
+        (_, false) => Rect::new(s.x0(), s.y1() - d, s.x1(), s.y1()),
+    }
+    .expect("shots are at least 10 nm on a side")
+}
+
+/// Live-pixel scoring is bit-identical to the dense window scan: on
+/// random shot sets, through churny tracked mutation sequences and after
+/// a resync, every 1 to 4 nm edge strip of either sign scores to the
+/// same `f64` bits either way. (Only 1 nm strips are narrow enough for
+/// the live-pixel walk; the wider ones check that the tracker falls back
+/// to the dense scan.)
+#[test]
+fn tracker_scoring_is_bit_identical_to_the_dense_scan() {
+    // An L-shaped target, so random shots leave under- and over-exposed
+    // regions side by side.
+    let target = Polygon::new(vec![
+        Point::new(0, 0),
+        Point::new(90, 0),
+        Point::new(90, 30),
+        Point::new(30, 30),
+        Point::new(30, 90),
+        Point::new(0, 90),
+    ])
+    .expect("L ring");
+    let model = ExposureModel::paper_default();
+    let cls = Classification::build(&target, 2.0, model.support_radius_px() + 2);
+    let (mut sparse, mut dense, mut negative) = (0usize, 0usize, 0usize);
+    for_cases(64, |rng| {
+        let mut map = IntensityMap::new(model.clone(), cls.frame());
+        let mut tracker = ViolationTracker::new(&cls, &map);
+        let mut shots: Vec<Rect> = Vec::new();
+        let mut check =
+            |rng: &mut StdRng, map: &IntensityMap, tracker: &ViolationTracker, shots: &[Rect]| {
+                for _ in 0..4 {
+                    let shot = shots[pick(rng, shots.len())];
+                    let sign = if rng.gen_range(0..=1) == 0 { 1.0 } else { -1.0 };
+                    let strip = edge_strip(rng, &shot, sign);
+                    let score = tracker.score_strip(&cls, map, &strip, sign);
+                    let dense_delta = cost_delta_for_strip(&cls, map, &strip, sign);
+                    assert_eq!(
+                        score.delta.to_bits(),
+                        dense_delta.to_bits(),
+                        "{strip} ({sign}): tracker {} vs dense {dense_delta}",
+                        score.delta
+                    );
+                    // Every 1 nm strip peaks within the live band's margin.
+                    let narrow = strip.width() == 1 || strip.height() == 1;
+                    assert!(score.sparse || !narrow, "{strip} took the dense scan");
+                    if score.sparse {
+                        sparse += 1;
+                    } else {
+                        dense += 1;
+                    }
+                    negative += usize::from(dense_delta < 0.0);
+                }
+            };
+        for _ in 0..20 {
+            // Churn: add a shot, drop one, or move one of its edges.
+            match rng.gen_range(0..=3) {
+                0 if shots.len() < 5 => {
+                    let (x0, y0) = (rng.gen_range(-8..=60), rng.gen_range(-8..=60));
+                    let (w, h) = (rng.gen_range(12..=50), rng.gen_range(12..=50));
+                    let shot = Rect::new(x0, y0, x0 + w, y0 + h).expect("w, h > 0");
+                    tracker.apply(&cls, &mut map, &shot, 1.0);
+                    shots.push(shot);
+                }
+                1 if shots.len() > 1 => {
+                    let shot = shots.swap_remove(pick(rng, shots.len()));
+                    tracker.apply(&cls, &mut map, &shot, -1.0);
+                }
+                _ if !shots.is_empty() => {
+                    // Move an edge by 1 to 4 nm. `shots` only steers which
+                    // strips get scored, so it keeps the unmoved shot.
+                    let i = pick(rng, shots.len());
+                    let sign = if rng.gen_range(0..=1) == 0 { 1.0 } else { -1.0 };
+                    let strip = edge_strip(rng, &shots[i], sign);
+                    tracker.apply(&cls, &mut map, &strip, sign);
+                }
+                _ => {
+                    let shot = Rect::new(0, 0, 30, 30).expect("square");
+                    tracker.apply(&cls, &mut map, &shot, 1.0);
+                    shots.push(shot);
+                }
+            }
+            check(rng, &map, &tracker, &shots);
+        }
+        // An untracked mutation, then a resync: the rebuilt live mask
+        // must score exactly too.
+        let extra = Rect::new(-6, -6, 20, 20).expect("rect");
+        map.add_shot(&extra);
+        shots.push(extra);
+        tracker.resync(&cls, &map);
+        check(rng, &map, &tracker, &shots);
+    });
+    // Non-vacuous: both scoring paths ran, and some strips improved.
+    assert!(sparse > 0 && dense > 0, "sparse {sparse}, dense {dense}");
+    assert!(
+        negative > 0,
+        "no improving strip among {} scored",
+        sparse + dense
+    );
 }
 
 #[test]

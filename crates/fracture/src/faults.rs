@@ -278,9 +278,8 @@ mod tests {
         // Adding a crash band must not disturb the in-process decisions.
         let base = FaultPlan::uniform(13, 0.1);
         for k in 0..1_000u64 {
-            match base.decide("journal.append", k) {
-                Some(f) => assert_eq!(plan.decide("journal.append", k), Some(f)),
-                None => {}
+            if let Some(f) = base.decide("journal.append", k) {
+                assert_eq!(plan.decide("journal.append", k), Some(f));
             }
         }
     }

@@ -337,6 +337,10 @@ pub fn reduce_shots(
 /// between candidate removals once the deadline passes, and the screening
 /// map and every bounded refinement run inside it recycle the same
 /// buffers.
+///
+/// Counts its removal tries in `fracture.reduce.attempts`, the tries it
+/// kept in `fracture.reduce.accepted`, and the refinement iterations spent
+/// on tries it discarded in `fracture.reduce.rejected_iterations`.
 pub fn reduce_shots_until_with(
     cls: &Classification,
     model: &ExposureModel,
@@ -376,6 +380,7 @@ pub fn reduce_shots_until_with(
     let mut current = shots;
     let mut summary = summarize(cls, model, &current, scratch);
     let mut total_iterations = 0usize;
+    let (mut attempts, mut accepted, mut rejected_iterations) = (0u64, 0u64, 0u64);
     let mut deadline_hit = false;
     if !summary.is_feasible() {
         return RefineOutcome {
@@ -418,17 +423,23 @@ pub fn reduce_shots_until_with(
             candidate.remove(i);
             let outcome = refine_until_with(cls, model, &budget_cfg, candidate, deadline, scratch);
             total_iterations += outcome.iterations;
+            attempts += 1;
             if outcome.summary.is_feasible() && outcome.shots.len() < current.len() {
                 current = outcome.shots;
                 summary = outcome.summary;
+                accepted += 1;
                 improved = true;
                 break;
             }
+            rejected_iterations += outcome.iterations as u64;
         }
         if !improved {
             break;
         }
     }
+    maskfrac_obs::counter!("fracture.reduce.attempts").add(attempts);
+    maskfrac_obs::counter!("fracture.reduce.accepted").add(accepted);
+    maskfrac_obs::counter!("fracture.reduce.rejected_iterations").add(rejected_iterations);
 
     RefineOutcome {
         shots: current,
@@ -487,18 +498,21 @@ fn edge_rank(edge: Edge) -> u8 {
     }
 }
 
-/// Work tally of [`score_shot`]: strips scored exactly, and strips the
-/// failing-tile screen proved non-improving without scoring.
+/// Work tally of [`score_shot`]: strips scored exactly, strips the
+/// failing-tile screen proved non-improving without scoring, and pixels
+/// whose cost term the scorer computed.
 #[derive(Debug, Default, Clone, Copy)]
 struct ScoreCounts {
     scored: u64,
     screened: u64,
+    px_scanned: u64,
 }
 
 impl std::ops::AddAssign for ScoreCounts {
     fn add_assign(&mut self, other: Self) {
         self.scored += other.scored;
         self.screened += other.screened;
+        self.px_scanned += other.px_scanned;
     }
 }
 
@@ -506,8 +520,11 @@ impl std::ops::AddAssign for ScoreCounts {
 /// map, returning the improving ones plus the work tally.
 ///
 /// With a `screen`, candidates that [`ViolationTracker::may_improve`]
-/// rules out are skipped unscored; they could never pass the
-/// `dc < -1e-9` bar, so the returned moves are the same either way.
+/// rules out are skipped unscored (they could never pass the
+/// `dc < -1e-9` bar), and the rest are scored by
+/// [`ViolationTracker::score_strip`] (bit-identical to
+/// [`cost_delta_for_strip`]), so the returned moves are the same either
+/// way.
 fn score_shot(
     cls: &Classification,
     map: &IntensityMap,
@@ -530,12 +547,19 @@ fn score_shot(
             let Some((strip, sign)) = strip_for(shot, edge, delta) else {
                 continue;
             };
-            if screen.is_some_and(|t| !t.may_improve(map, &strip, sign)) {
-                counts.screened += 1;
-                continue;
-            }
+            let dc = match screen {
+                Some(t) if !t.may_improve(map, &strip, sign) => {
+                    counts.screened += 1;
+                    continue;
+                }
+                Some(t) => {
+                    let score = t.score_strip(cls, map, &strip, sign);
+                    counts.px_scanned += score.px_scanned;
+                    score.delta
+                }
+                None => cost_delta_for_strip(cls, map, &strip, sign),
+            };
             counts.scored += 1;
-            let dc = cost_delta_for_strip(cls, map, &strip, sign);
             if dc < -1e-9 {
                 moves.push(ScoredMove {
                     delta_cost: dc,
@@ -602,9 +626,10 @@ struct GreedyEngine {
 #[cfg(test)]
 thread_local! {
     /// While set, every greedy pass on this thread re-scores every
-    /// candidate of every shot, with no failing-tile screen: the
-    /// full-rescan reference engine the parity tests compare the
-    /// dirty-window cache and the screen against.
+    /// candidate of every shot over its whole window, with no
+    /// failing-tile screen: the full-rescan reference engine the parity
+    /// tests compare the dirty-window cache, the screen and live-pixel
+    /// scoring against.
     static FULL_RESCAN: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -749,6 +774,7 @@ impl GreedyEngine {
         maskfrac_obs::counter!("refine.candidates.scored").add(counts.scored);
         maskfrac_obs::counter!("refine.candidates.screened").add(counts.screened);
         maskfrac_obs::counter!("refine.candidates.improving").add(improving);
+        maskfrac_obs::counter!("refine.window.px_scanned").add(counts.px_scanned);
         self.todo = todo;
 
         // Deterministic acceptance order over all cached improving moves.

@@ -39,7 +39,9 @@ fn record(seed: u64, status_byte: u8, shot_spans: &[(i64, i64)]) -> JournalRecor
         geometry: seed,
         status: status_from(status_byte),
         method: format!("method-{}", seed % 7),
-        error: (seed % 3 == 0).then(|| format!("cause-{}", seed % 11)),
+        error: seed
+            .is_multiple_of(3)
+            .then(|| format!("cause-{}", seed % 11)),
         attempts: (seed % 5) as u32 + 1,
         iterations: seed % 97,
         on_fail_pixels: seed % 13,

@@ -317,23 +317,28 @@ impl Registry {
             .iter()
             .map(|(&k, v)| (k.to_owned(), v.summary()))
             .collect();
+        // A span name registered before a `reset` and not recorded since
+        // has no stage to report: `RunReport::validate` rejects count-0
+        // rows.
         let stages = self
             .read(&self.spans)
             .iter()
-            .map(|(&k, v)| {
+            .filter_map(|(&k, v)| {
                 let s = v.summary();
-                (
-                    k.to_owned(),
-                    StageStats {
-                        count: s.count,
-                        total_s: s.sum,
-                        min_s: s.min,
-                        max_s: s.max,
-                        p50_s: s.p50,
-                        p90_s: s.p90,
-                        p99_s: s.p99,
-                    },
-                )
+                (s.count > 0).then(|| {
+                    (
+                        k.to_owned(),
+                        StageStats {
+                            count: s.count,
+                            total_s: s.sum,
+                            min_s: s.min,
+                            max_s: s.max,
+                            p50_s: s.p50,
+                            p90_s: s.p90,
+                            p99_s: s.p99,
+                        },
+                    )
+                })
             })
             .collect();
         MetricsSnapshot {
