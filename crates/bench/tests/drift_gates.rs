@@ -136,12 +136,13 @@ const REFINE_PINNED: [(&str, usize, usize); 3] =
     [("Clip-1", 7, 0), ("Clip-5", 11, 5), ("Clip-10", 15, 0)];
 
 /// Work counters of the three 1-thread refinement runs together.
-const REFINE_T1_COUNTERS: [(&str, u64); 5] = [
+const REFINE_T1_COUNTERS: [(&str, u64); 6] = [
     ("refine.candidates.scored", 33_498),
     ("refine.candidates.screened", 19_200),
     ("refine.candidates.improving", 12_806),
     ("refine.window.px_scanned", 8_564_976),
     ("fracture.refine.iterations", 616),
+    ("ebeam.apply.px_tracked", 966_886),
 ];
 
 #[test]

@@ -14,8 +14,9 @@
 //! never `w·h`. Profiles come from [`ExposureModel::edge_factor`] through
 //! the interpolated edge-profile LUT (see [`crate::intensity`]), and the
 //! multiply-add composition loops are deterministic and sequential per
-//! row: `add_shot` / `remove_shot` / [`IntensityMap::replace_shot`] /
-//! [`IntensityMap::apply_shot_visit`] all produce byte-identical grids for
+//! row: `add_shot` / `remove_shot` / [`IntensityMap::replace_shot`] and
+//! the row-visiting kernels [`IntensityMap::apply_shot_rows`] /
+//! [`IntensityMap::replace_shot_rows`] all produce byte-identical grids for
 //! the same mutation sequence, which is what the refinement parity harness
 //! pins.
 
@@ -80,6 +81,8 @@ pub struct IntensityMap {
     fy: Vec<f64>,
     fx2: Vec<f64>,
     fy2: Vec<f64>,
+    // The pre-update copy of the row the `*_rows` kernels hand out.
+    prev: Vec<f64>,
 }
 
 impl IntensityMap {
@@ -105,6 +108,7 @@ impl IntensityMap {
             fy: Vec::new(),
             fx2: Vec::new(),
             fy2: Vec::new(),
+            prev: Vec::new(),
         }
     }
 
@@ -161,44 +165,77 @@ impl IntensityMap {
     }
 
     /// Replaces `old` with `new` (e.g. after an edge move) in a single
-    /// pass over the union of the two affected windows.
+    /// pass over the union of the two affected windows: bit-exact with
+    /// `remove_shot` + `add_shot` (see
+    /// [`replace_shot_rows`](Self::replace_shot_rows)).
+    pub fn replace_shot(&mut self, old: &Rect, new: &Rect) {
+        self.replace_shot_rows(old, new, |_, _, _, _| {});
+    }
+
+    /// [`replace_shot`](Self::replace_shot), handing each updated row of
+    /// the union window to `visit` as `(iy, x0, old_row, new_row)`: the
+    /// row's values before and after the update, starting at column `x0`.
     ///
     /// For the common small-edge-move case the windows almost coincide, so
     /// fusing subtract-and-add into one traversal halves the memory walked
-    /// versus `remove_shot` + `add_shot`. Bit-exact with the two-pass
-    /// path: per pixel the operations are independent f64 adds applied in
-    /// the same order (old's subtraction before new's addition), each
-    /// restricted to its own rect's affected window.
-    pub fn replace_shot(&mut self, old: &Rect, new: &Rect) {
+    /// versus two passes. Bit-exact with the two-pass path: per pixel the
+    /// operations are independent f64 adds applied in the same order
+    /// (old's subtraction before new's addition), each restricted to its
+    /// own rect's affected window. A row that both windows cross is
+    /// reported over the hull of their column ranges; columns in neither
+    /// window come back unchanged.
+    pub fn replace_shot_rows<F: FnMut(usize, usize, &[f64], &[f64])>(
+        &mut self,
+        old: &Rect,
+        new: &Rect,
+        mut visit: F,
+    ) {
         let (xs_o, ys_o) = self.affected_window(old);
         let (xs_n, ys_n) = self.affected_window(new);
         let old_live = !xs_o.is_empty() && !ys_o.is_empty();
         let new_live = !xs_n.is_empty() && !ys_n.is_empty();
         if !old_live || !new_live {
-            // One side is entirely off-frame: nothing to fuse.
-            self.apply_shot(old, -1.0);
-            self.apply_shot(new, 1.0);
+            // At most one side touches the frame: nothing to fuse.
+            if old_live {
+                self.apply_shot_rows(old, -1.0, visit);
+            } else if new_live {
+                self.apply_shot_rows(new, 1.0, visit);
+            }
             return;
         }
         maskfrac_obs::counter!("ebeam.kernel.convolutions").add(2);
         let (mut fx_o, mut fy_o) = (std::mem::take(&mut self.fx), std::mem::take(&mut self.fy));
         let (mut fx_n, mut fy_n) = (std::mem::take(&mut self.fx2), std::mem::take(&mut self.fy2));
+        let mut prev = std::mem::take(&mut self.prev);
         self.fill_edge_factors(old, &xs_o, &ys_o, &mut fx_o, &mut fy_o);
         self.fill_edge_factors(new, &xs_n, &ys_n, &mut fx_n, &mut fy_n);
         let width = self.frame.width();
         for iy in ys_o.start.min(ys_n.start)..ys_o.end.max(ys_n.end) {
-            let base = iy * width;
-            if ys_o.contains(&iy) {
+            let (in_o, in_n) = (ys_o.contains(&iy), ys_n.contains(&iy));
+            let xs = match (in_o, in_n) {
+                (true, true) => xs_o.start.min(xs_n.start)..xs_o.end.max(xs_n.end),
+                (true, false) => xs_o.clone(),
+                (false, true) => xs_n.clone(),
+                (false, false) => continue, // between disjoint windows
+            };
+            let row = &mut self.values[iy * width + xs.start..iy * width + xs.end];
+            prev.clear();
+            prev.extend_from_slice(row);
+            if in_o {
                 let fyv = -fy_o[iy - ys_o.start];
-                axpy_row(&mut self.values[base + xs_o.start..base + xs_o.end], &fx_o, fyv);
+                let cols = xs_o.start - xs.start..xs_o.end - xs.start;
+                axpy_row(&mut row[cols], &fx_o, fyv);
             }
-            if ys_n.contains(&iy) {
+            if in_n {
                 let fyv = fy_n[iy - ys_n.start];
-                axpy_row(&mut self.values[base + xs_n.start..base + xs_n.end], &fx_n, fyv);
+                let cols = xs_n.start - xs.start..xs_n.end - xs.start;
+                axpy_row(&mut row[cols], &fx_n, fyv);
             }
+            visit(iy, xs.start, &prev, row);
         }
         (self.fx, self.fy) = (fx_o, fy_o);
         (self.fx2, self.fy2) = (fx_n, fy_n);
+        self.prev = prev;
     }
 
     /// Pixel-index window over which `shot`'s intensity is non-negligible.
@@ -274,23 +311,26 @@ impl IntensityMap {
         for (j, iy) in ys.clone().enumerate() {
             let base = iy * width;
             let fyv = fy[j] * sign;
-            // Explicit four-lane multiply-add over contiguous slices.
-            // Bit-exact with the visit path: same per-pixel `old + fx·fyv`
-            // in the same order.
+            // Explicit four-lane multiply-add over contiguous slices, the
+            // same per-pixel `old + fx·fyv` as `apply_shot_rows`.
             axpy_row(&mut self.values[base + xs.start..base + xs.end], &fx, fyv);
         }
         (self.fx, self.fy) = (fx, fy);
     }
 
-    /// Applies `sign ×` the shot's intensity, reporting every touched
-    /// pixel to `visit` as `(ix, iy, old, new)`.
+    /// Applies `sign ×` the shot's intensity, handing each updated window
+    /// row to `visit` as `(iy, x0, old_row, new_row)`: the row's values
+    /// before and after the update, starting at column `x0`.
     ///
     /// This is the hook incremental violation tracking hangs off
-    /// ([`crate::violations::ViolationTracker`]): the caller observes the
+    /// ([`crate::violations::ViolationTracker`]): the caller sees the
     /// exact per-pixel transition the map performs, so a running failure
-    /// summary stays bit-for-bit consistent with a from-scratch
-    /// re-evaluation of the final map.
-    pub fn apply_shot_visit<F: FnMut(usize, usize, f64, f64)>(
+    /// summary stays consistent with a from-scratch re-evaluation of the
+    /// final map. The new values are bit-identical to
+    /// [`add_shot`](Self::add_shot) / [`remove_shot`](Self::remove_shot);
+    /// the old row is copied into grow-only scratch first, so the call
+    /// allocates nothing in steady state.
+    pub fn apply_shot_rows<F: FnMut(usize, usize, &[f64], &[f64])>(
         &mut self,
         shot: &Rect,
         sign: f64,
@@ -301,43 +341,19 @@ impl IntensityMap {
             return;
         }
         maskfrac_obs::counter!("ebeam.kernel.convolutions").incr();
-        // Separable profile: one edge factor per row/column.
         let (mut fx, mut fy) = (std::mem::take(&mut self.fx), std::mem::take(&mut self.fy));
+        let mut prev = std::mem::take(&mut self.prev);
         self.fill_edge_factors(shot, &xs, &ys, &mut fx, &mut fy);
         let width = self.frame.width();
         for (j, iy) in ys.clone().enumerate() {
-            let base = iy * width;
-            let fyv = fy[j] * sign;
-            // New values are computed in the same four-lane blocks as
-            // `axpy_row` (bit-exact — each pixel is independent), then
-            // reported to `visit` strictly left to right.
-            let row = &mut self.values[base + xs.start..base + xs.end];
-            let mut i = 0usize;
-            let mut rows = row.chunks_exact_mut(4);
-            let mut fxs = fx.chunks_exact(4);
-            for (r, f) in rows.by_ref().zip(fxs.by_ref()) {
-                let news = [
-                    r[0] + f[0] * fyv,
-                    r[1] + f[1] * fyv,
-                    r[2] + f[2] * fyv,
-                    r[3] + f[3] * fyv,
-                ];
-                for k in 0..4 {
-                    let old = r[k];
-                    r[k] = news[k];
-                    visit(xs.start + i + k, iy, old, news[k]);
-                }
-                i += 4;
-            }
-            for (v, &f) in rows.into_remainder().iter_mut().zip(fxs.remainder()) {
-                let old = *v;
-                let new = old + f * fyv;
-                *v = new;
-                visit(xs.start + i, iy, old, new);
-                i += 1;
-            }
+            let row = &mut self.values[iy * width + xs.start..iy * width + xs.end];
+            prev.clear();
+            prev.extend_from_slice(row);
+            axpy_row(row, &fx, fy[j] * sign);
+            visit(iy, xs.start, &prev, row);
         }
         (self.fx, self.fy) = (fx, fy);
+        self.prev = prev;
     }
 }
 
@@ -448,9 +464,14 @@ mod tests {
                 fused.add_shot(s);
                 twopass.add_shot(s);
             }
-            fused.replace_shot(old, new);
+            let before = fused.clone();
+            let mut rows = Vec::new();
+            fused.replace_shot_rows(old, new, |iy, x0, o, n| {
+                rows.push((iy, x0, o.to_vec(), n.to_vec()))
+            });
             twopass.remove_shot(old);
             twopass.add_shot(new);
+            assert_rows_report_the_update(&before, &fused, &rows);
             let (w, h) = (fused.frame().width(), fused.frame().height());
             for iy in 0..h {
                 for ix in 0..w {
@@ -461,6 +482,57 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Rows a `*_rows` kernel reported, as `(iy, x0, old_row, new_row)`.
+    type Rows = Vec<(usize, usize, Vec<f64>, Vec<f64>)>;
+
+    /// The reported rows hold exactly the values of `before` and `after`,
+    /// and cover every pixel whose value changed.
+    fn assert_rows_report_the_update(before: &IntensityMap, after: &IntensityMap, rows: &Rows) {
+        let (w, h) = (after.frame().width(), after.frame().height());
+        let mut covered = vec![false; w * h];
+        for (iy, x0, old, new) in rows {
+            assert_eq!(old.len(), new.len());
+            for (k, (o, n)) in old.iter().zip(new).enumerate() {
+                assert_eq!(o.to_bits(), before.value(x0 + k, *iy).to_bits());
+                assert_eq!(n.to_bits(), after.value(x0 + k, *iy).to_bits());
+                covered[iy * w + x0 + k] = true;
+            }
+        }
+        for iy in 0..h {
+            for ix in 0..w {
+                let changed = before.value(ix, iy).to_bits() != after.value(ix, iy).to_bits();
+                assert!(
+                    !changed || covered[iy * w + ix],
+                    "pixel ({ix}, {iy}) unreported"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn apply_rows_match_add_and_remove_bitwise() {
+        let a = Rect::new(0, 0, 30, 30).unwrap();
+        let b = Rect::new(25, 5, 65, 40).unwrap();
+        let (mut rowwise, mut plain) = (map(), map());
+        let far = Rect::new(-40, 20, -10, 70).unwrap();
+        for (shot, sign) in [(a, 1.0), (b, 1.0), (a, -1.0), (far, 1.0)] {
+            let before = rowwise.clone();
+            let mut rows = Vec::new();
+            rowwise.apply_shot_rows(&shot, sign, |iy, x0, o, n| {
+                rows.push((iy, x0, o.to_vec(), n.to_vec()))
+            });
+            if sign > 0.0 {
+                plain.add_shot(&shot);
+            } else {
+                plain.remove_shot(&shot);
+            }
+            assert_rows_report_the_update(&before, &rowwise, &rows);
+            assert!(!rows.is_empty());
+            let bits = |m: &IntensityMap| m.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&rowwise), bits(&plain), "{shot} ({sign})");
         }
     }
 

@@ -170,12 +170,15 @@ pub struct StripScore {
 /// frame every iteration to learn how many pixels fail; with bounded 3σ
 /// kernel support that is almost all wasted work, because one accepted
 /// edge move only changes intensities inside the moved strip's support
-/// window. The tracker rides [`IntensityMap::apply_shot_visit`] instead:
-/// every mutation routed through [`apply`](Self::apply) updates the
-/// failing `Pon`/`Poff` counts from the exact per-pixel transitions the
-/// map performs, so the counts equal what [`evaluate`] would return on
-/// the final map (bit-for-bit for the counts; the continuous cost
-/// accumulates in a different order and may drift by a few ULPs).
+/// window. The tracker rides the row kernels
+/// [`IntensityMap::apply_shot_rows`] / [`IntensityMap::replace_shot_rows`]
+/// instead: every mutation routed through [`apply`](Self::apply) or
+/// [`replace`](Self::replace) updates the failing `Pon`/`Poff` counts from
+/// the exact per-pixel transitions the map performs, visiting only the
+/// pixels that were live or that crossed or neared `ρ`, so the counts equal
+/// what [`evaluate`] would return on the final map (bit-for-bit for the
+/// counts; the continuous cost accumulates in a different order and may
+/// drift by a few ULPs).
 ///
 /// The same transitions keep per-tile counts of failing `Pon` and failing
 /// `Poff` pixels over 16×16 px tiles, which back the exact candidate
@@ -212,6 +215,9 @@ pub struct ViolationTracker {
     live: Vec<u64>,
     /// [`live_band`] of the map's model.
     band: f64,
+    /// Pixels folded into the books since the last
+    /// [`publish_px_tracked`](Self::publish_px_tracked).
+    px_tracked: u64,
 }
 
 impl ViolationTracker {
@@ -228,6 +234,7 @@ impl ViolationTracker {
             words_x: 0,
             live: Vec::new(),
             band: 0.0,
+            px_tracked: 0,
         };
         tracker.resync(cls, map);
         tracker
@@ -242,48 +249,131 @@ impl ViolationTracker {
     /// Applies `sign ×` the rect's intensity to the map while folding the
     /// per-pixel failure transitions into the running summary.
     ///
-    /// Every map mutation must go through here (or be followed by
+    /// Every map mutation must go through here (or
+    /// [`replace`](Self::replace), or be followed by
     /// [`resync`](Self::resync)) for the summary to stay valid.
+    ///
+    /// Only the pixels whose books can change are visited: per 64-px word
+    /// of a row, those that were live before the update or that crossed
+    /// `ρ` or ended within the live band of it. They are visited in the
+    /// row-major order of a full visit, so the counts, tiles, live mask
+    /// and running cost are bit-identical to folding in every pixel of the
+    /// support window. See `docs/performance.md`, "Sparse apply and fused
+    /// bias".
     pub fn apply(&mut self, cls: &Classification, map: &mut IntensityMap, rect: &Rect, sign: f64) {
         debug_assert_eq!(cls.frame(), map.frame(), "frames must match");
         let rho = map.model().rho();
-        let summary = &mut self.summary;
-        let (tiles, tiles_x) = (&mut self.tiles, self.tiles_x);
-        let (live, words_x, band) = (&mut self.live, self.words_x, self.band);
-        map.apply_shot_visit(rect, sign, |ix, iy, old, new| {
-            if old.to_bits() == new.to_bits() {
-                return; // zero edge factor: nothing changed
-            }
-            let class = cls.class(ix, iy);
-            if class == PixelClass::Band {
-                return;
-            }
-            let fails = pixel_fails(class, new, rho);
-            let failed = pixel_fails(class, old, rho);
-            if is_live(class, fails, new, rho, band) != is_live(class, failed, old, rho, band) {
-                live[iy * words_x + ix / WORD_PX] ^= 1 << (ix % WORD_PX);
-            }
-            if fails != failed {
-                let count = match class {
-                    PixelClass::On => &mut summary.on_fails,
-                    PixelClass::Off => &mut summary.off_fails,
-                    PixelClass::Band => unreachable!(),
-                };
-                let tile = &mut tiles[tile_index(tiles_x, ix, iy)][lane(class)];
-                if fails {
-                    *count += 1;
-                    *tile += 1;
-                } else {
-                    *count -= 1;
-                    *tile -= 1;
-                }
-            }
-            // A pixel passing before and after would add an exact +0.0,
-            // which leaves the (never −0.0) running cost unchanged.
-            if fails || failed {
-                summary.cost += pixel_cost(class, new, rho) - pixel_cost(class, old, rho);
-            }
+        map.apply_shot_rows(rect, sign, |iy, x0, old, new| {
+            self.track_row(cls, rho, iy, x0, old, new);
         });
+    }
+
+    /// Replaces `old` with `new` in the map ([`IntensityMap::replace_shot`])
+    /// and folds each pixel's before/after pair into the books in one
+    /// pass.
+    ///
+    /// The map, counts, tiles and live mask end exactly as after
+    /// `apply(old, -1.0)` then `apply(new, 1.0)`. The running cost may
+    /// differ from that pair by a few ULPs: a pixel inside both shots is
+    /// folded in once, instead of being removed and added back.
+    pub fn replace(
+        &mut self,
+        cls: &Classification,
+        map: &mut IntensityMap,
+        old: &Rect,
+        new: &Rect,
+    ) {
+        debug_assert_eq!(cls.frame(), map.frame(), "frames must match");
+        let rho = map.model().rho();
+        map.replace_shot_rows(old, new, |iy, x0, before, after| {
+            self.track_row(cls, rho, iy, x0, before, after);
+        });
+    }
+
+    /// Publishes the pixels folded into the books since the last call as
+    /// the `ebeam.apply.px_tracked` counter (once per batch of updates,
+    /// not per update, to keep the shared counter off the hot path).
+    pub fn publish_px_tracked(&mut self) {
+        maskfrac_obs::counter!("ebeam.apply.px_tracked").add(std::mem::take(&mut self.px_tracked));
+    }
+
+    /// Folds one updated map row, columns `x0..` of row `iy` going from
+    /// `old` to `new`, into the books.
+    ///
+    /// Per 64-px word it visits, in ascending `ix`, the pixels that were
+    /// live before the update or that `hit`: crossed `ρ` or ended within
+    /// the live band of it. Every other pixel is `Band`, or passed with a
+    /// margin above the band and stays on the same side of `ρ` with a
+    /// margin still above it: its pass/fail state and its live bit are
+    /// unchanged and its cost term is `+0.0` before and after, so
+    /// [`track`](Self::track) would leave the books untouched.
+    fn track_row(
+        &mut self,
+        cls: &Classification,
+        rho: f64,
+        iy: usize,
+        x0: usize,
+        old: &[f64],
+        new: &[f64],
+    ) {
+        let (x1, band) = (x0 + new.len(), self.band);
+        for w in x0 / WORD_PX..x1.div_ceil(WORD_PX) {
+            let (lo, hi) = ((w * WORD_PX).max(x0), ((w + 1) * WORD_PX).min(x1));
+            let mut hit = 0u64;
+            let pairs = old[lo - x0..hi - x0].iter().zip(&new[lo - x0..hi - x0]);
+            for (bit, (&o, &n)) in (lo % WORD_PX..).zip(pairs) {
+                let crossed = (o < rho) != (n < rho);
+                let near = (n - rho).abs() <= band;
+                hit |= u64::from(crossed | near) << bit;
+            }
+            let cols = (!0u64 >> (WORD_PX - (hi - lo))) << (lo % WORD_PX);
+            let mut bits = (self.live[iy * self.words_x + w] & cols) | hit;
+            self.px_tracked += u64::from(bits.count_ones());
+            while bits != 0 {
+                let ix = w * WORD_PX + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.track(cls, rho, ix, iy, old[ix - x0], new[ix - x0]);
+            }
+        }
+    }
+
+    /// Folds one pixel's transition from `old` to `new` into the failing
+    /// counts, the tile counts, the live mask and the running cost.
+    #[inline]
+    fn track(&mut self, cls: &Classification, rho: f64, ix: usize, iy: usize, old: f64, new: f64) {
+        if old.to_bits() == new.to_bits() {
+            return; // zero edge factor: nothing changed
+        }
+        let class = cls.class(ix, iy);
+        if class == PixelClass::Band {
+            return;
+        }
+        let fails = pixel_fails(class, new, rho);
+        let failed = pixel_fails(class, old, rho);
+        let band = self.band;
+        if is_live(class, fails, new, rho, band) != is_live(class, failed, old, rho, band) {
+            self.live[iy * self.words_x + ix / WORD_PX] ^= 1 << (ix % WORD_PX);
+        }
+        if fails != failed {
+            let count = match class {
+                PixelClass::On => &mut self.summary.on_fails,
+                PixelClass::Off => &mut self.summary.off_fails,
+                PixelClass::Band => unreachable!(),
+            };
+            let tile = &mut self.tiles[tile_index(self.tiles_x, ix, iy)][lane(class)];
+            if fails {
+                *count += 1;
+                *tile += 1;
+            } else {
+                *count -= 1;
+                *tile -= 1;
+            }
+        }
+        // A pixel passing before and after would add an exact +0.0,
+        // which leaves the (never −0.0) running cost unchanged.
+        if fails || failed {
+            self.summary.cost += pixel_cost(class, new, rho) - pixel_cost(class, old, rho);
+        }
     }
 
     /// Re-derives the summary, the tile counts and the live mask from one
@@ -598,6 +688,7 @@ thread_local! {
 mod tests {
     use super::*;
     use crate::intensity::ExposureModel;
+    use maskfrac_geom::rect::Edge;
     use maskfrac_geom::{Point, Polygon, Rect};
 
     fn setup(shots: &[Rect]) -> (Classification, IntensityMap) {
@@ -763,6 +854,182 @@ mod tests {
         );
     }
 
+    /// The classification of an L-shaped target, so shot sets leave
+    /// under- and over-exposed regions far apart from each other.
+    fn l_target() -> (Classification, ExposureModel) {
+        let target = Polygon::new(vec![
+            Point::new(0, 0),
+            Point::new(90, 0),
+            Point::new(90, 30),
+            Point::new(30, 30),
+            Point::new(30, 90),
+            Point::new(0, 90),
+        ])
+        .unwrap();
+        let model = ExposureModel::paper_default();
+        let cls = Classification::build(&target, 2.0, model.support_radius_px() + 2);
+        (cls, model)
+    }
+
+    /// The bookkeeping `apply` did before it went sparse: every pixel of
+    /// the support window is folded into the books. Returns the window's
+    /// pixel count.
+    fn dense_apply(
+        tracker: &mut ViolationTracker,
+        cls: &Classification,
+        map: &mut IntensityMap,
+        rect: &Rect,
+        sign: f64,
+    ) -> u64 {
+        let rho = map.model().rho();
+        let mut window = 0;
+        map.apply_shot_rows(rect, sign, |iy, x0, old, new| {
+            for (k, (&o, &n)) in old.iter().zip(new).enumerate() {
+                tracker.track(cls, rho, x0 + k, iy, o, n);
+            }
+            window += old.len() as u64;
+        });
+        window
+    }
+
+    fn map_bits(map: &IntensityMap) -> Vec<u64> {
+        let frame = map.frame();
+        (0..frame.height())
+            .flat_map(|iy| (0..frame.width()).map(move |ix| map.value(ix, iy).to_bits()))
+            .collect()
+    }
+
+    /// The sparse `apply` and the fused `replace` keep the same books as
+    /// the dense reference through churny sequences on the L target: 1 and
+    /// 2 nm edge strips of both signs, whole-shot adds and removes, and
+    /// bias moves of every shot. Maps, counts, tiles and live masks match
+    /// exactly after every step; `apply`'s running cost matches bit for
+    /// bit, `replace`'s within rounding of a full evaluation.
+    #[test]
+    fn sparse_apply_matches_dense_reference() {
+        use maskfrac_geom::rng::{for_cases, StdRng};
+        let (cls, model) = l_target();
+        let rho = model.rho();
+        let pick = |rng: &mut StdRng, len: usize| rng.gen_range(0..=len as i64 - 1) as usize;
+        // (window px, px tracked, live bits set, live bits cleared,
+        //  upward crossings, downward crossings)
+        let mut seen = [0u64; 6];
+        for_cases(64, |rng| {
+            let mut map = IntensityMap::new(model.clone(), cls.frame());
+            let mut ref_map = map.clone();
+            let mut tracker = ViolationTracker::new(&cls, &map);
+            let mut reference = tracker.clone();
+            let mut shots: Vec<Rect> = Vec::new();
+            for step in 0..24 {
+                let (before, live_before) = (map_bits(&map), tracker.live.clone());
+                let mut window = 0;
+                let mut fused = false;
+                match rng.gen_range(0..=5) {
+                    0 | 1 if shots.len() < 5 => {
+                        let (x0, y0) = (rng.gen_range(-8..=60), rng.gen_range(-8..=60));
+                        let (w, h) = (rng.gen_range(12..=50), rng.gen_range(12..=50));
+                        let shot = Rect::new(x0, y0, x0 + w, y0 + h).unwrap();
+                        tracker.apply(&cls, &mut map, &shot, 1.0);
+                        window += dense_apply(&mut reference, &cls, &mut ref_map, &shot, 1.0);
+                        shots.push(shot);
+                    }
+                    2 if !shots.is_empty() => {
+                        let shot = shots.swap_remove(pick(rng, shots.len()));
+                        tracker.apply(&cls, &mut map, &shot, -1.0);
+                        window += dense_apply(&mut reference, &cls, &mut ref_map, &shot, -1.0);
+                    }
+                    3 if !shots.is_empty() => {
+                        // Bias: every shot grows or shrinks 1 nm per side.
+                        fused = true;
+                        let d = if rng.gen_range(0..=1) == 0 { 1 } else { -1 };
+                        for shot in &mut shots {
+                            let s = *shot;
+                            let grown = Rect::new(s.x0() - d, s.y0() - d, s.x1() + d, s.y1() + d);
+                            let Some(new) = grown else { continue };
+                            tracker.replace(&cls, &mut map, &s, &new);
+                            window += dense_apply(&mut reference, &cls, &mut ref_map, &s, -1.0);
+                            window += dense_apply(&mut reference, &cls, &mut ref_map, &new, 1.0);
+                            *shot = new;
+                        }
+                    }
+                    _ if !shots.is_empty() => {
+                        // Move one edge by 1 or 2 nm.
+                        let i = pick(rng, shots.len());
+                        let (s, d) = (shots[i], rng.gen_range(1..=2));
+                        let edge = Edge::ALL[pick(rng, 4)];
+                        let grow = rng.gen_range(0..=1) == 0;
+                        let outward = if matches!(edge, Edge::Left | Edge::Bottom) {
+                            -d
+                        } else {
+                            d
+                        };
+                        let at = s.edge(edge) + if grow { outward } else { -outward };
+                        let Some(moved) = s.with_edge(edge, at) else {
+                            continue;
+                        };
+                        let (lo, hi) = (s.edge(edge).min(at), s.edge(edge).max(at));
+                        let strip = if edge.is_vertical() {
+                            Rect::new(lo, s.y0(), hi, s.y1())
+                        } else {
+                            Rect::new(s.x0(), lo, s.x1(), hi)
+                        }
+                        .unwrap();
+                        let sign = if grow { 1.0 } else { -1.0 };
+                        tracker.apply(&cls, &mut map, &strip, sign);
+                        window += dense_apply(&mut reference, &cls, &mut ref_map, &strip, sign);
+                        shots[i] = moved;
+                    }
+                    _ => continue,
+                }
+                let what = format!("step {step} ({})", if fused { "replace" } else { "apply" });
+                assert_eq!(map_bits(&map), map_bits(&ref_map), "{what}: map");
+                let (got, want) = (tracker.summary, reference.summary);
+                assert_eq!(
+                    (got.on_fails, got.off_fails),
+                    (want.on_fails, want.off_fails),
+                    "{what}"
+                );
+                assert_eq!(tracker.tiles, reference.tiles, "{what}: tiles");
+                assert_eq!(tracker.live, reference.live, "{what}: live mask");
+                if fused {
+                    let full = evaluate(&cls, &map).cost;
+                    assert!(
+                        (got.cost - full).abs() <= 1e-9,
+                        "{what}: cost {} vs {full}",
+                        got.cost
+                    );
+                    // Later steps compare `apply`'s cost bit for bit again.
+                    reference.summary.cost = got.cost;
+                } else {
+                    assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "{what}: cost");
+                }
+                seen[0] += window;
+                seen[1] += std::mem::take(&mut tracker.px_tracked);
+                for (a, b) in live_before.iter().zip(&tracker.live) {
+                    seen[2] += u64::from((b & !a).count_ones());
+                    seen[3] += u64::from((a & !b).count_ones());
+                }
+                for (a, b) in before.iter().zip(map_bits(&map)) {
+                    let (a, b) = (f64::from_bits(*a), f64::from_bits(b));
+                    seen[4] += u64::from(a < rho && b >= rho);
+                    seen[5] += u64::from(a >= rho && b < rho);
+                }
+            }
+        });
+        // Non-vacuous: the sparse walk skipped window pixels, and live
+        // bits and crossings went both ways.
+        let [window, tracked, set, cleared, up, down] = seen;
+        assert!(
+            tracked > 0 && tracked < window,
+            "tracked {tracked} of {window} px"
+        );
+        assert!(
+            set > 0 && cleared > 0,
+            "live bits set {set}, cleared {cleared}"
+        );
+        assert!(up > 0 && down > 0, "crossings up {up}, down {down}");
+    }
+
     /// Soundness of the failing-tile screen: across random shot sets and
     /// ±1 / ±2 nm edge strips of both signs, a strip `may_improve` rules
     /// out never has a negative cost delta. Deterministic seeded sweep.
@@ -776,19 +1043,7 @@ mod tests {
             state
         };
         let mut rng = move |lo: i64, hi: i64| lo + (next() % ((hi - lo + 1) as u64)) as i64;
-        // An L-shaped target, so shot sets leave under- and over-exposed
-        // regions far apart from each other.
-        let target = Polygon::new(vec![
-            Point::new(0, 0),
-            Point::new(90, 0),
-            Point::new(90, 30),
-            Point::new(30, 30),
-            Point::new(30, 90),
-            Point::new(0, 90),
-        ])
-        .unwrap();
-        let model = ExposureModel::paper_default();
-        let cls = Classification::build(&target, 2.0, model.support_radius_px() + 2);
+        let (cls, model) = l_target();
         let (mut screened, mut improving) = ([0usize; 2], [0usize; 2]);
         for trial in 0..40 {
             let mut map = IntensityMap::new(model.clone(), cls.frame());

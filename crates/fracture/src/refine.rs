@@ -97,6 +97,9 @@ pub fn refine(
 /// intensity grid and the engine's candidate cache are recycled from (and
 /// handed back to) `scratch`, so repeated calls on one worker thread
 /// allocate nothing in steady state.
+///
+/// Counts why the run stopped in exactly one of
+/// `fracture.refine.stop.{converged,deadline,plateau,iteration_cap}`.
 pub fn refine_until_with(
     cls: &Classification,
     model: &ExposureModel,
@@ -132,10 +135,14 @@ pub fn refine_until_with(
     let mut best_fails_at_last_restart = usize::MAX;
     let mut best_cost_at_last_restart = f64::INFINITY;
     let mut deadline_hit = false;
+    // Why the loop below exits, counted once per run: the iteration cap
+    // unless a `break` says otherwise.
+    let mut stop = maskfrac_obs::counter!("fracture.refine.stop.iteration_cap");
 
     while iterations < cfg.max_iterations {
         if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
             deadline_hit = true;
+            stop = maskfrac_obs::counter!("fracture.refine.stop.deadline");
             break;
         }
         let summary = tracker.summary();
@@ -156,6 +163,7 @@ pub fn refine_until_with(
             best_summary = summary;
         }
         if summary.fail_count() == 0 {
+            stop = maskfrac_obs::counter!("fracture.refine.stop.converged");
             break;
         }
 
@@ -179,7 +187,9 @@ pub fn refine_until_with(
             } else {
                 restarts_without_progress += 1;
                 if restarts_without_progress >= cfg.max_plateau_restarts {
-                    break; // cycling on an infeasible residue
+                    // Cycling on an infeasible residue.
+                    stop = maskfrac_obs::counter!("fracture.refine.stop.plateau");
+                    break;
                 }
             }
             if summary.on_fails > summary.off_fails {
@@ -230,6 +240,7 @@ pub fn refine_until_with(
     if deadline_hit {
         maskfrac_obs::counter!("fracture.refine.deadline_hits").incr();
     }
+    stop.incr();
     RefineOutcome {
         shots: best_shots,
         summary: best_summary,
@@ -825,6 +836,7 @@ impl GreedyEngine {
             mutated.push(i);
         }
         self.candidates = candidates;
+        tracker.publish_px_tracked();
 
         // Dirty-window invalidation: a move changes intensities within
         // its strip's support window; a cached score reads within its
@@ -894,11 +906,11 @@ fn bias_all_shots(
             Rect::new(x0, y0, x1, y1).unwrap_or(old)
         };
         if new != old {
-            tracker.apply(cls, map, &old, -1.0);
-            tracker.apply(cls, map, &new, 1.0);
+            tracker.replace(cls, map, &old, &new);
             *shot = new;
         }
     }
+    tracker.publish_px_tracked();
 }
 
 /// Adds one shot over the largest cluster of failing `Pon` pixels
