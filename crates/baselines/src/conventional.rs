@@ -7,6 +7,7 @@
 //! slivers, which is precisely why the industry moved to model-based
 //! fracturing.
 
+use crate::MaskFracturer;
 use maskfrac_ebeam::violations::evaluate;
 use maskfrac_ebeam::{Classification, IntensityMap};
 use maskfrac_fracture::{FractureConfig, FractureResult};
@@ -48,9 +49,15 @@ impl Conventional {
         self.strategy = strategy;
         self
     }
+}
+
+impl MaskFracturer for Conventional {
+    fn name(&self) -> &'static str {
+        "conventional"
+    }
 
     /// Runs conventional partitioning on one target.
-    pub fn run(&self, target: &Polygon) -> FractureResult {
+    fn fracture(&self, target: &Polygon) -> FractureResult {
         let start = Instant::now();
         let model = self.config.model();
         let cls = Classification::build(
@@ -89,7 +96,7 @@ mod tests {
     #[test]
     fn square_is_one_rect() {
         let target = Polygon::from_rect(Rect::new(0, 0, 50, 50).unwrap());
-        let r = Conventional::new(FractureConfig::default()).run(&target);
+        let r = Conventional::new(FractureConfig::default()).fracture(&target);
         assert_eq!(r.shot_count(), 1);
         assert!(r.summary.is_feasible());
     }
@@ -105,7 +112,7 @@ mod tests {
             Point::new(0, 80),
         ])
         .unwrap();
-        let r = Conventional::new(FractureConfig::default()).run(&target);
+        let r = Conventional::new(FractureConfig::default()).fracture(&target);
         assert_eq!(r.shot_count(), 2);
         assert!(r.summary.is_feasible());
         // Shots are disjoint (partition, not cover).
@@ -135,10 +142,10 @@ mod tests {
         ])
         .unwrap();
         let cfg = FractureConfig::default();
-        let slabs = Conventional::new(cfg.clone()).run(&plus);
+        let slabs = Conventional::new(cfg.clone()).fracture(&plus);
         let minimum = Conventional::new(cfg)
             .with_strategy(PartitionStrategy::Minimum)
-            .run(&plus);
+            .fracture(&plus);
         assert_eq!(slabs.shot_count(), 3);
         assert_eq!(minimum.shot_count(), 3);
         // On the plus both achieve the optimum; on a comb the minimum
@@ -159,10 +166,10 @@ mod tests {
         ])
         .unwrap();
         let cfg = FractureConfig::default();
-        let slabs = Conventional::new(cfg.clone()).run(&comb);
+        let slabs = Conventional::new(cfg.clone()).fracture(&comb);
         let minimum = Conventional::new(cfg)
             .with_strategy(PartitionStrategy::Minimum)
-            .run(&comb);
+            .fracture(&comb);
         assert!(minimum.shot_count() <= slabs.shot_count());
         assert_eq!(
             minimum.shot_count(),
@@ -174,7 +181,7 @@ mod tests {
     fn curvilinear_shape_explodes_shot_count() {
         use maskfrac_shapes::ilt::{generate_ilt_clip, IltParams};
         let clip = generate_ilt_clip(&IltParams::default());
-        let r = Conventional::new(FractureConfig::default()).run(&clip);
+        let r = Conventional::new(FractureConfig::default()).fracture(&clip);
         assert!(
             r.shot_count() > 30,
             "staircase slivers: {} shots",

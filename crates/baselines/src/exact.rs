@@ -11,6 +11,7 @@
 //! the heuristics on small shapes.
 
 use crate::candidates::pursuit_candidates;
+use crate::MaskFracturer;
 use maskfrac_ebeam::violations::{evaluate, fail_bitmaps};
 use maskfrac_ebeam::{Classification, IntensityMap};
 use maskfrac_fracture::{FractureConfig, FractureResult};
@@ -104,32 +105,6 @@ impl ExhaustiveOptimal {
         }
     }
 
-    /// Runs the search and packages it as a [`FractureResult`] (selecting
-    /// `max_shots = 6`). Infeasible/unproven searches return the empty
-    /// shot list with the all-failing summary.
-    pub fn run(&self, target: &Polygon) -> FractureResult {
-        let start = Instant::now();
-        let outcome = self.search(target, 6);
-        let shots = outcome.shots.unwrap_or_default();
-        let summary = maskfrac_fracture::verify_shots(target, &shots, &self.config);
-        let status = if summary.is_feasible() {
-            maskfrac_fracture::FractureStatus::Ok
-        } else if shots.is_empty() {
-            maskfrac_fracture::FractureStatus::Failed
-        } else {
-            maskfrac_fracture::FractureStatus::Degraded
-        };
-        FractureResult {
-            approx_shot_count: shots.len(),
-            status,
-            shots,
-            summary,
-            iterations: outcome.nodes,
-            runtime: start.elapsed(),
-            deadline_hit: false,
-        }
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn dfs(
         &self,
@@ -182,6 +157,38 @@ impl ExhaustiveOptimal {
             if found.is_some() || *nodes > self.node_budget {
                 return;
             }
+        }
+    }
+}
+
+impl MaskFracturer for ExhaustiveOptimal {
+    fn name(&self) -> &'static str {
+        "exact"
+    }
+
+    /// Runs the search and packages it as a [`FractureResult`] (selecting
+    /// `max_shots = 6`). Infeasible/unproven searches return the empty
+    /// shot list with the all-failing summary.
+    fn fracture(&self, target: &Polygon) -> FractureResult {
+        let start = Instant::now();
+        let outcome = self.search(target, 6);
+        let shots = outcome.shots.unwrap_or_default();
+        let summary = maskfrac_fracture::verify_shots(target, &shots, &self.config);
+        let status = if summary.is_feasible() {
+            maskfrac_fracture::FractureStatus::Ok
+        } else if shots.is_empty() {
+            maskfrac_fracture::FractureStatus::Failed
+        } else {
+            maskfrac_fracture::FractureStatus::Degraded
+        };
+        FractureResult {
+            approx_shot_count: shots.len(),
+            status,
+            shots,
+            summary,
+            iterations: outcome.nodes,
+            runtime: start.elapsed(),
+            deadline_hit: false,
         }
     }
 }

@@ -32,12 +32,13 @@
 
 use crate::conventional::Conventional;
 use crate::proto::ProtoEda;
+use crate::MaskFracturer;
 use maskfrac_ebeam::FailureSummary;
 use maskfrac_fracture::{
     FractureConfig, FractureError, FractureResult, FractureScratch, FractureStatus,
     ModelBasedFracturer, RetryPolicy,
 };
-use maskfrac_geom::Polygon;
+use maskfrac_geom::{Polygon, Region};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -150,6 +151,7 @@ impl FallbackFracturer {
         let start = Instant::now();
         let mut errors: Vec<String> = Vec::new();
         let mut attempts = 0u32;
+        let region = Region::simple(target.clone());
 
         for (retry_index, fracturer) in self.model.iter().enumerate() {
             let method = if retry_index == 0 { "ours" } else { "ours-retry" };
@@ -166,7 +168,7 @@ impl FallbackFracturer {
             attempts += 1;
             maskfrac_obs::counter(rung_attempt_counter(method)).incr();
             match fracturer {
-                Ok(f) => match guarded(|| f.try_fracture_with(target, &mut *scratch)) {
+                Ok(f) => match guarded(|| f.try_fracture(&region, &mut *scratch)) {
                     Ok(result) => {
                         maskfrac_obs::counter(rung_delivered_counter(method)).incr();
                         return FallbackOutcome {
@@ -196,7 +198,7 @@ impl FallbackFracturer {
         attempts += 1;
         maskfrac_obs::counter(rung_attempt_counter("ours-degraded")).incr();
         match &self.degraded {
-            Ok(f) => match guarded(|| f.try_fracture_with(target, &mut *scratch)) {
+            Ok(f) => match guarded(|| f.try_fracture(&region, &mut *scratch)) {
                 Ok(mut result) => {
                     if result.status < FractureStatus::Degraded {
                         result.status = FractureStatus::Degraded;
@@ -225,8 +227,14 @@ impl FallbackFracturer {
         let proto_cfg = self.config.clone();
         let conv_cfg = self.config.clone();
         let rungs: [(&'static str, Rung<'_>); 2] = [
-            ("proto-eda", Box::new(move || ProtoEda::new(proto_cfg).run(target))),
-            ("conventional", Box::new(move || Conventional::new(conv_cfg).run(target))),
+            (
+                "proto-eda",
+                Box::new(move || ProtoEda::new(proto_cfg).fracture(target)),
+            ),
+            (
+                "conventional",
+                Box::new(move || Conventional::new(conv_cfg).fracture(target)),
+            ),
         ];
         for (method, rung) in rungs {
             attempts += 1;

@@ -7,6 +7,7 @@
 //! the paper (and the benchmarking site) reports as `GSC`.
 
 use crate::candidates::cover_candidates;
+use crate::MaskFracturer;
 use maskfrac_ebeam::violations::fail_bitmaps;
 use maskfrac_ebeam::{Classification, IntensityMap};
 use maskfrac_fracture::{FractureConfig, FractureResult};
@@ -26,9 +27,15 @@ impl GreedySetCover {
     pub fn new(config: FractureConfig) -> Self {
         GreedySetCover { config }
     }
+}
+
+impl MaskFracturer for GreedySetCover {
+    fn name(&self) -> &'static str {
+        "gsc"
+    }
 
     /// Runs greedy set cover on one target.
-    pub fn run(&self, target: &Polygon) -> FractureResult {
+    fn fracture(&self, target: &Polygon) -> FractureResult {
         let start = Instant::now();
         let model = self.config.model();
         let cls = Classification::build(
@@ -103,7 +110,7 @@ mod tests {
     #[test]
     fn covers_a_square() {
         let target = Polygon::from_rect(Rect::new(0, 0, 50, 50).unwrap());
-        let r = GreedySetCover::new(FractureConfig::default()).run(&target);
+        let r = GreedySetCover::new(FractureConfig::default()).fracture(&target);
         assert!(r.summary.on_fails == 0, "{:?}", r.summary);
         assert!(r.shot_count() <= 3);
     }
@@ -119,7 +126,7 @@ mod tests {
             Point::new(0, 80),
         ])
         .unwrap();
-        let r = GreedySetCover::new(FractureConfig::default()).run(&target);
+        let r = GreedySetCover::new(FractureConfig::default()).fracture(&target);
         assert_eq!(r.summary.on_fails, 0, "{:?}", r.summary);
         // Shots are picked from the inside-only pool.
         let cls = Classification::build(&target, 2.0, 22);
@@ -133,7 +140,7 @@ mod tests {
         // Every added shot fixed at least one pixel, so shot count is
         // bounded by the initial failing count.
         let target = Polygon::from_rect(Rect::new(0, 0, 40, 90).unwrap());
-        let r = GreedySetCover::new(FractureConfig::default()).run(&target);
+        let r = GreedySetCover::new(FractureConfig::default()).fracture(&target);
         assert!(r.shot_count() <= 10);
     }
 }

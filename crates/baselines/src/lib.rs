@@ -16,7 +16,9 @@
 //!   model at all, the pre-model-based state of practice.
 //!
 //! All baselines implement [`MaskFracturer`], as does the paper's method
-//! via [`Ours`], so the experiment harness can treat them uniformly.
+//! ([`ModelBasedFracturer`]) and the exhaustive referee
+//! ([`ExhaustiveOptimal`]), so the experiment harness and the CLI treat
+//! every method uniformly. `fracture` is each method's one entry point.
 //!
 //! # Example
 //!
@@ -73,68 +75,13 @@ pub trait MaskFracturer {
     fn fracture(&self, target: &Polygon) -> FractureResult;
 }
 
-/// The paper's method behind the uniform harness interface.
-pub struct Ours(ModelBasedFracturer);
-
-impl Ours {
-    /// Wraps a configured model-based fracturer.
-    pub fn new(config: maskfrac_fracture::FractureConfig) -> Self {
-        Ours(ModelBasedFracturer::new(config))
-    }
-
-    /// The wrapped fracturer.
-    pub fn inner(&self) -> &ModelBasedFracturer {
-        &self.0
-    }
-}
-
-impl MaskFracturer for Ours {
+impl MaskFracturer for ModelBasedFracturer {
     fn name(&self) -> &'static str {
         "ours"
     }
 
     fn fracture(&self, target: &Polygon) -> FractureResult {
-        self.0.fracture(target)
-    }
-}
-
-impl MaskFracturer for GreedySetCover {
-    fn name(&self) -> &'static str {
-        "gsc"
-    }
-
-    fn fracture(&self, target: &Polygon) -> FractureResult {
-        self.run(target)
-    }
-}
-
-impl MaskFracturer for MatchingPursuit {
-    fn name(&self) -> &'static str {
-        "mp"
-    }
-
-    fn fracture(&self, target: &Polygon) -> FractureResult {
-        self.run(target)
-    }
-}
-
-impl MaskFracturer for ProtoEda {
-    fn name(&self) -> &'static str {
-        "proto-eda"
-    }
-
-    fn fracture(&self, target: &Polygon) -> FractureResult {
-        self.run(target)
-    }
-}
-
-impl MaskFracturer for Conventional {
-    fn name(&self) -> &'static str {
-        "conventional"
-    }
-
-    fn fracture(&self, target: &Polygon) -> FractureResult {
-        self.run(target)
+        ModelBasedFracturer::fracture(self, target)
     }
 }
 
@@ -161,7 +108,7 @@ mod tests {
         let cfg = FractureConfig::default();
         let target = l_shape();
         let methods: Vec<Box<dyn MaskFracturer>> = vec![
-            Box::new(Ours::new(cfg.clone())),
+            Box::new(ModelBasedFracturer::new(cfg.clone())),
             Box::new(GreedySetCover::new(cfg.clone())),
             Box::new(MatchingPursuit::new(cfg.clone())),
             Box::new(ProtoEda::new(cfg.clone())),
@@ -186,7 +133,7 @@ mod tests {
     fn ours_beats_or_ties_gsc_on_simple_shapes() {
         let cfg = FractureConfig::default();
         let target = l_shape();
-        let ours = Ours::new(cfg.clone()).fracture(&target);
+        let ours = ModelBasedFracturer::new(cfg.clone()).fracture(&target);
         let gsc = GreedySetCover::new(cfg).fracture(&target);
         // On one tiny shape either may win by a shot; the suite-level
         // comparison lives in the table2/table3 harness and integration
@@ -203,7 +150,7 @@ mod tests {
     fn method_names_are_distinct() {
         let cfg = FractureConfig::default();
         let names = [
-            Ours::new(cfg.clone()).name(),
+            ModelBasedFracturer::new(cfg.clone()).name(),
             GreedySetCover::new(cfg.clone()).name(),
             MatchingPursuit::new(cfg.clone()).name(),
             ProtoEda::new(cfg.clone()).name(),
@@ -217,7 +164,12 @@ mod tests {
     fn square_is_cheap_for_everyone() {
         let cfg = FractureConfig::default();
         let target = Polygon::from_rect(Rect::new(0, 0, 50, 50).unwrap());
-        assert_eq!(Ours::new(cfg.clone()).fracture(&target).shot_count(), 1);
+        assert_eq!(
+            ModelBasedFracturer::new(cfg.clone())
+                .fracture(&target)
+                .shot_count(),
+            1
+        );
         assert!(GreedySetCover::new(cfg.clone()).fracture(&target).shot_count() <= 3);
         assert!(ProtoEda::new(cfg).fracture(&target).shot_count() <= 2);
     }

@@ -10,6 +10,7 @@
 //! slowest competitor, and the pursuit loop dominates runtime here too.
 
 use crate::candidates::pursuit_candidates;
+use crate::MaskFracturer;
 use maskfrac_geom::sat::Sat;
 use maskfrac_ebeam::{Classification, IntensityMap, PixelClass};
 use maskfrac_fracture::{FractureConfig, FractureResult};
@@ -35,9 +36,15 @@ impl MatchingPursuit {
             max_shots: 200,
         }
     }
+}
+
+impl MaskFracturer for MatchingPursuit {
+    fn name(&self) -> &'static str {
+        "mp"
+    }
 
     /// Runs matching pursuit on one target.
-    pub fn run(&self, target: &Polygon) -> FractureResult {
+    fn fracture(&self, target: &Polygon) -> FractureResult {
         let start = Instant::now();
         let model = self.config.model();
         let cls = Classification::build(
@@ -167,7 +174,7 @@ mod tests {
     #[test]
     fn reconstructs_a_square() {
         let target = Polygon::from_rect(Rect::new(0, 0, 50, 50).unwrap());
-        let r = MatchingPursuit::new(FractureConfig::default()).run(&target);
+        let r = MatchingPursuit::new(FractureConfig::default()).fracture(&target);
         assert_eq!(r.summary.on_fails, 0, "{:?}", r.summary);
         // MP characteristically patches corners with small atoms.
         assert!(r.shot_count() <= 6, "{:?}", r.shots);
@@ -184,7 +191,7 @@ mod tests {
             Point::new(0, 80),
         ])
         .unwrap();
-        let r = MatchingPursuit::new(FractureConfig::default()).run(&target);
+        let r = MatchingPursuit::new(FractureConfig::default()).fracture(&target);
         assert_eq!(r.summary.on_fails, 0, "{:?}", r.summary);
     }
 
@@ -193,7 +200,7 @@ mod tests {
         // A tiny target: once covered, every candidate's score drops and
         // the loop exits rather than spinning to max_shots.
         let target = Polygon::from_rect(Rect::new(0, 0, 24, 24).unwrap());
-        let r = MatchingPursuit::new(FractureConfig::default()).run(&target);
+        let r = MatchingPursuit::new(FractureConfig::default()).fracture(&target);
         assert!(r.shot_count() < 20);
     }
 }

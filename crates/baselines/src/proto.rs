@@ -20,6 +20,7 @@
 //! so the surrogate is expected to land between GSC and the proposed
 //! method, as PROTO-EDA does in the published tables. See `DESIGN.md` §5.
 
+use crate::MaskFracturer;
 use maskfrac_ebeam::Classification;
 use maskfrac_fracture::{refine, FractureConfig, FractureResult};
 use maskfrac_geom::partition::partition_slabs_tolerant;
@@ -50,9 +51,15 @@ impl ProtoEda {
             slab_tolerance,
         }
     }
+}
+
+impl MaskFracturer for ProtoEda {
+    fn name(&self) -> &'static str {
+        "proto-eda"
+    }
 
     /// Runs the surrogate on one target.
-    pub fn run(&self, target: &Polygon) -> FractureResult {
+    fn fracture(&self, target: &Polygon) -> FractureResult {
         let start = Instant::now();
         let model = self.config.model();
         let cls = Classification::build(
@@ -111,7 +118,7 @@ mod tests {
     #[test]
     fn square_seeds_one_slab() {
         let target = Polygon::from_rect(Rect::new(0, 0, 50, 50).unwrap());
-        let r = ProtoEda::new(FractureConfig::default()).run(&target);
+        let r = ProtoEda::new(FractureConfig::default()).fracture(&target);
         assert!(r.summary.is_feasible(), "{:?}", r.summary);
         assert!(r.shot_count() <= 2);
     }
@@ -127,7 +134,7 @@ mod tests {
             Point::new(0, 80),
         ])
         .unwrap();
-        let r = ProtoEda::new(FractureConfig::default()).run(&target);
+        let r = ProtoEda::new(FractureConfig::default()).fracture(&target);
         assert!(r.summary.is_feasible(), "{:?}", r.summary);
         assert!(r.shot_count() <= 4);
     }

@@ -1,4 +1,4 @@
-//! Regenerates the paper's illustrations (Figs. 1–5) as SVG files under
+//! Regenerates the paper's illustrations (Figs. 1–5, plus fig6) as SVG files under
 //! `results/`.
 //!
 //! * **fig1** — RDP boundary approximation of a mask clip and the shot
@@ -11,14 +11,18 @@
 //!   two same-edge corner points, extended to the opposite boundary;
 //! * **fig5** — the shot-merge criteria: an aligned pair merged by
 //!   vertical extension, and a pair whose merge would expose `Poff`.
+//! * **fig6** (extension) — Algorithm 1 convergence: cost and shot count
+//!   per iteration of the refinement run seeded by the fig3 solution.
 //!
 //! Run with `cargo run -p maskfrac-bench --release --bin figures`
 //! (optionally pass a subset: `-- fig1 fig3`).
 
 use maskfrac_bench::results_dir;
 use maskfrac_ebeam::lth::{compute_lth, corner_inset_per_axis};
-use maskfrac_ebeam::ExposureModel;
-use maskfrac_fracture::{CornerType, FractureConfig, ModelBasedFracturer};
+use maskfrac_ebeam::{Classification, ExposureModel};
+use maskfrac_fracture::{
+    approximate_fracture, refine, ApproxFracture, CornerType, FractureConfig, ModelBasedFracturer,
+};
 use maskfrac_geom::rdp::simplify_ring;
 use maskfrac_geom::svg::{Style, SvgCanvas};
 use maskfrac_geom::{Point, Polygon, Rect};
@@ -48,12 +52,29 @@ fn demo_clip() -> Polygon {
     })
 }
 
+/// The pipeline's first two steps on `clip`: its pixel classification
+/// and its approximate solution (§3).
+fn approximate(
+    fracturer: &ModelBasedFracturer,
+    clip: &Polygon,
+) -> (Classification, ApproxFracture) {
+    let cls = fracturer.classify(clip);
+    let approx = approximate_fracture(
+        clip,
+        &cls,
+        fracturer.model(),
+        fracturer.config(),
+        fracturer.lth(),
+    );
+    (cls, approx)
+}
+
 /// Fig. 1: boundary approximation + shot corner extraction.
 fn fig1() {
     let cfg = FractureConfig::default();
     let fracturer = ModelBasedFracturer::new(cfg.clone());
     let clip = demo_clip();
-    let (_, approx, _) = fracturer.fracture_traced(&clip);
+    let (_, approx) = approximate(&fracturer, &clip);
 
     let view = clip.bbox().expand(25).expect("bbox grows");
     let mut canvas = SvgCanvas::new(view, 6.0);
@@ -132,7 +153,7 @@ fn fig3() {
     let cfg = FractureConfig::default();
     let fracturer = ModelBasedFracturer::new(cfg);
     let clip = demo_clip();
-    let (_, approx, _) = fracturer.fracture_traced(&clip);
+    let (_, approx) = approximate(&fracturer, &clip);
 
     let view = clip.bbox().expand(25).expect("bbox grows");
     let mut canvas = SvgCanvas::new(view, 6.0);
@@ -249,7 +270,8 @@ fn fig6() {
     let cfg = FractureConfig::default();
     let fracturer = ModelBasedFracturer::new(cfg);
     let clip = demo_clip();
-    let (_, _, outcome) = fracturer.fracture_traced(&clip);
+    let (cls, approx) = approximate(&fracturer, &clip);
+    let outcome = refine(&cls, fracturer.model(), fracturer.config(), approx.shots);
     let history = &outcome.history;
     if history.is_empty() {
         println!("fig6: no refinement iterations to plot");

@@ -24,11 +24,11 @@
 //! `docs/observability.md`). The `--inject` suite's shot counts are
 //! pinned in `crates/bench/tests/drift_gates.rs`.
 
-use maskfrac_baselines::{FallbackFracturer, GreedySetCover, MaskFracturer, Ours, ProtoEda};
+use maskfrac_baselines::{FallbackFracturer, GreedySetCover, MaskFracturer, ProtoEda};
 use maskfrac_bench::{
     apply_obs_flags, finish_run_report, run_injection_suite, save_json, suite_fingerprint,
 };
-use maskfrac_fracture::FractureConfig;
+use maskfrac_fracture::{FractureConfig, ModelBasedFracturer};
 use maskfrac_obs::json::Value;
 use maskfrac_obs::ShapeRecord;
 use maskfrac_shapes::ilt::{generate_ilt_clip, IltParams};
@@ -152,7 +152,7 @@ fn injection_harness(seed: u64, rate: f64, shapes: &mut Vec<ShapeRecord>) -> Exi
 
 fn ranking_study(shapes: &mut Vec<ShapeRecord>) {
     let cfg = FractureConfig::default();
-    let ours = Ours::new(cfg.clone());
+    let ours = ModelBasedFracturer::new(cfg.clone());
     let proto = ProtoEda::new(cfg.clone());
     let gsc = GreedySetCover::new(cfg);
 

@@ -10,9 +10,9 @@
 //!
 //! Run with `cargo run -p maskfrac-bench --release --bin table2`.
 
-use maskfrac_baselines::{GreedySetCover, MaskFracturer, MatchingPursuit, Ours, ProtoEda};
+use maskfrac_baselines::{GreedySetCover, MaskFracturer, MatchingPursuit, ProtoEda};
 use maskfrac_bench::{normalized_sum, print_clip_row, run_methods, save_json, ClipResult};
-use maskfrac_fracture::FractureConfig;
+use maskfrac_fracture::{FractureConfig, ModelBasedFracturer};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -23,7 +23,7 @@ fn main() {
         Box::new(GreedySetCover::new(cfg.clone())),
         Box::new(MatchingPursuit::new(cfg.clone())),
         Box::new(ProtoEda::new(cfg.clone())),
-        Box::new(Ours::new(cfg.clone())),
+        Box::new(ModelBasedFracturer::new(cfg.clone())),
     ];
 
     println!("== Table 2: real-ILT-style mask shapes ==");

@@ -25,7 +25,7 @@
 use maskfrac_baselines::{FallbackFracturer, MaskFracturer};
 use maskfrac_fracture::{faults, FaultPlan, FractureConfig, FractureStatus};
 use maskfrac_geom::{Polygon, Rect};
-use maskfrac_mdp::{Layout, Placement};
+use maskfrac_mdp::{Layout, LayoutOptions, Placement};
 use maskfrac_obs::json::Value;
 use maskfrac_obs::ShapeRecord;
 use std::path::{Path, PathBuf};
@@ -389,7 +389,11 @@ pub fn run_injection_suite(seed: u64, rate: f64) -> InjectionOutcome {
         layout.add_shape(id, polygon.clone());
         layout.place(id, Placement::at(i as i64 * 1000, 0));
     }
-    let report = maskfrac_mdp::fracture_layout(&layout, &cfg, 4);
+    let options = LayoutOptions {
+        threads: 4,
+        ..LayoutOptions::default()
+    };
+    let report = maskfrac_mdp::fracture_layout_opts(&layout, &cfg, &options);
     if report.per_shape.len() != clips.len() {
         violations.push(format!(
             "layout run lost shapes: {} of {} reported",

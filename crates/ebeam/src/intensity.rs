@@ -267,7 +267,7 @@ impl Default for ExposureModel {
 /// of any particular model's `σ` and a single process-wide instance serves
 /// every [`ExposureModel`]. Before this sharing, every `ExposureModel`
 /// clone or deserialize rebuilt the 4097-entry table (4097 `erf` evals) —
-/// measurable when `fracture_layout` hands a model clone to each worker.
+/// measurable when the layout driver hands a model clone to each worker.
 #[derive(Debug)]
 struct EdgeLut {
     values: Vec<f64>,

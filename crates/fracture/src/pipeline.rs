@@ -1,10 +1,10 @@
 //! The end-to-end model-based fracturer.
 
-use crate::approx::{approximate_fracture_region, ApproxFracture};
+use crate::approx::approximate_fracture_region;
 use crate::config::FractureConfig;
 use crate::error::{FractureError, FractureStatus, Stage};
 use crate::faults::{self, Fault};
-use crate::refine::{refine_until_with, RefineOutcome};
+use crate::refine::{reduce_shots, refine_until_with};
 use crate::scratch::FractureScratch;
 use crate::validate::validate_target;
 use maskfrac_ebeam::{Classification, ExposureModel, FailureSummary};
@@ -27,7 +27,7 @@ pub struct FractureResult {
     /// Outcome tag: `Ok` when feasible, `Degraded` when the shot list is
     /// best-effort (deadline expired or the refinement budget ran out on
     /// an infeasible residue). The `Fallback`/`Failed` tags are assigned
-    /// by batch drivers such as `maskfrac_mdp::fracture_layout`.
+    /// by batch drivers such as `maskfrac_mdp::fracture_layout_opts`.
     pub status: FractureStatus,
     /// Whether the per-shape wall-clock deadline cut refinement short
     /// (the ledger's deadline-degraded flag; implies `Degraded` unless a
@@ -132,73 +132,42 @@ impl ModelBasedFracturer {
         Classification::build_region(target, self.config.gamma, self.model.support_radius_px() + 2)
     }
 
-    /// Fractures one target shape.
+    /// Fractures one target shape with a fresh [`FractureScratch`].
+    ///
+    /// A convenience wrapper over the same pipeline as
+    /// [`try_fracture`](Self::try_fracture), minus its validation and
+    /// fault probe: the target is trusted as given.
     pub fn fracture(&self, target: &Polygon) -> FractureResult {
-        let (result, _, _) = self.fracture_traced(target);
-        result
+        self.fracture_with(target, &mut FractureScratch::new())
     }
 
     /// [`fracture`](Self::fracture) with an explicit per-worker
-    /// [`FractureScratch`] arena: the intensity grid, the class grid and
-    /// the refinement engine's candidate cache are recycled across calls,
-    /// so a worker fracturing many shapes allocates nothing per shape in
-    /// steady state. Results are identical to [`fracture`](Self::fracture).
+    /// [`FractureScratch`] arena; results are identical to `fracture`.
+    ///
+    /// It stays only because the benchmark crate (`perf/`) measures this
+    /// path; every other caller uses [`try_fracture`](Self::try_fracture).
     pub fn fracture_with(&self, target: &Polygon, scratch: &mut FractureScratch) -> FractureResult {
-        let region = Region::simple(target.clone());
         let deadline = self.config.deadline.map(|d| Instant::now() + d);
-        let (result, _, _) = self.fracture_region_traced_until(&region, deadline, scratch);
-        result
+        self.run_pipeline(&Region::simple(target.clone()), deadline, scratch)
     }
 
-    /// Fractures a target region (polygon with holes).
-    pub fn fracture_region(&self, target: &Region) -> FractureResult {
-        let (result, _, _) = self.fracture_region_traced(target);
-        result
-    }
-
-    /// Validating front-door variant of [`fracture`](Self::fracture):
-    /// rejects degenerate targets with a typed error instead of feeding
-    /// them to the pipeline, and honours an armed
-    /// [fault-injection plan](crate::faults).
+    /// Fractures a target region (a polygon, possibly with holes): the
+    /// one fallible core every validating caller goes through.
+    ///
+    /// Rejects degenerate targets with a typed error instead of feeding
+    /// them to the pipeline and honours an armed
+    /// [fault-injection plan](crate::faults). The intensity grid, the
+    /// class grid and the refinement engine's candidate cache are
+    /// recycled through `scratch`, so a worker fracturing many shapes
+    /// allocates nothing per shape in steady state; the result does not
+    /// depend on what `scratch` held before.
     ///
     /// # Errors
     ///
     /// [`FractureError::InvalidTarget`] for targets rejected by
     /// [`validate_target`]; [`FractureError::Internal`] when a pipeline
     /// stage fails (including injected faults).
-    pub fn try_fracture(&self, target: &Polygon) -> Result<FractureResult, FractureError> {
-        self.try_fracture_region(&Region::simple(target.clone()))
-    }
-
-    /// [`try_fracture`](Self::try_fracture) with an explicit per-worker
-    /// [`FractureScratch`] arena (see [`fracture_with`](Self::fracture_with)).
-    ///
-    /// # Errors
-    ///
-    /// See [`try_fracture`](Self::try_fracture).
-    pub fn try_fracture_with(
-        &self,
-        target: &Polygon,
-        scratch: &mut FractureScratch,
-    ) -> Result<FractureResult, FractureError> {
-        self.try_fracture_region_with(&Region::simple(target.clone()), scratch)
-    }
-
-    /// Region variant of [`try_fracture`](Self::try_fracture).
-    ///
-    /// # Errors
-    ///
-    /// See [`try_fracture`](Self::try_fracture).
-    pub fn try_fracture_region(&self, target: &Region) -> Result<FractureResult, FractureError> {
-        self.try_fracture_region_with(target, &mut FractureScratch::new())
-    }
-
-    /// Region variant of [`try_fracture_with`](Self::try_fracture_with).
-    ///
-    /// # Errors
-    ///
-    /// See [`try_fracture`](Self::try_fracture).
-    pub fn try_fracture_region_with(
+    pub fn try_fracture(
         &self,
         target: &Region,
         scratch: &mut FractureScratch,
@@ -211,9 +180,7 @@ impl ModelBasedFracturer {
             Some(Fault::Timeout) => {
                 // Act out an already-expired budget: refinement returns
                 // its best-so-far immediately.
-                let (result, _, _) =
-                    self.fracture_region_traced_until(target, Some(Instant::now()), scratch);
-                return Ok(result);
+                return Ok(self.run_pipeline(target, Some(Instant::now()), scratch));
             }
             Some(Fault::Infeasible) => {
                 return Err(FractureError::Internal {
@@ -226,8 +193,7 @@ impl ModelBasedFracturer {
             Some(Fault::CrashPoint) | None => {}
         }
         let deadline = self.config.deadline.map(|d| Instant::now() + d);
-        let (result, _, _) = self.fracture_region_traced_until(target, deadline, scratch);
-        Ok(result)
+        Ok(self.run_pipeline(target, deadline, scratch))
     }
 
     /// Deterministic per-(shape, config) fingerprint for fault-injection
@@ -250,34 +216,15 @@ impl ModelBasedFracturer {
         faults::fingerprint(&bytes)
     }
 
-    /// Fractures one target shape, also returning the intermediate
-    /// approximate solution and the refinement trace (used by the figure
-    /// harness and ablations).
-    pub fn fracture_traced(
-        &self,
-        target: &Polygon,
-    ) -> (FractureResult, ApproxFracture, RefineOutcome) {
-        self.fracture_region_traced(&Region::simple(target.clone()))
-    }
-
-    /// Region variant of [`fracture_traced`](Self::fracture_traced).
-    pub fn fracture_region_traced(
-        &self,
-        target: &Region,
-    ) -> (FractureResult, ApproxFracture, RefineOutcome) {
-        let deadline = self.config.deadline.map(|d| Instant::now() + d);
-        self.fracture_region_traced_until(target, deadline, &mut FractureScratch::new())
-    }
-
-    /// Core of the pipeline, against an absolute deadline covering every
+    /// The pipeline itself, against an absolute deadline covering every
     /// stage (classification, approximation, refinement, reduction). All
     /// large working buffers come from (and return to) `scratch`.
-    fn fracture_region_traced_until(
+    fn run_pipeline(
         &self,
         target: &Region,
         deadline: Option<Instant>,
         scratch: &mut FractureScratch,
-    ) -> (FractureResult, ApproxFracture, RefineOutcome) {
+    ) -> FractureResult {
         let _shape_span = maskfrac_obs::span("fracture.shape");
         let start = Instant::now();
         let margin = self.model.support_radius_px() + 2;
@@ -334,17 +281,12 @@ impl ModelBasedFracturer {
                 if (restarted.summary.fail_count(), restarted.shots.len())
                     < (outcome.summary.fail_count(), outcome.shots.len())
                 {
-                    // Keep the primary run's history (the trace the figure
-                    // harness plots); adopt the restarted solution.
-                    outcome = RefineOutcome {
-                        history: outcome.history,
-                        ..restarted
-                    };
+                    outcome = restarted;
                 }
             }
         }
         if self.config.reduction_sweep && outcome.summary.is_feasible() && !deadline_over() {
-            let reduced = crate::refine::reduce_shots_until_with(
+            let reduced = reduce_shots(
                 &cls,
                 &self.model,
                 &self.config,
@@ -375,16 +317,15 @@ impl ModelBasedFracturer {
         maskfrac_obs::registry()
             .histogram("fracture.shots_per_shape")
             .record(outcome.shots.len() as f64);
-        let result = FractureResult {
-            shots: outcome.shots.clone(),
+        FractureResult {
+            shots: outcome.shots,
             summary: outcome.summary,
             iterations: outcome.iterations,
             approx_shot_count: approx.shots.len(),
             runtime: start.elapsed(),
             status,
             deadline_hit: outcome.deadline_hit,
-        };
-        (result, approx, outcome)
+        }
     }
 }
 
@@ -392,6 +333,10 @@ impl ModelBasedFracturer {
 mod tests {
     use super::*;
     use maskfrac_geom::Point;
+
+    fn square(side: i64) -> Region {
+        Polygon::from_rect(Rect::new(0, 0, side, side).unwrap()).into()
+    }
 
     #[test]
     fn square_is_one_shot() {
@@ -432,7 +377,10 @@ mod tests {
     fn traced_run_exposes_stages() {
         let f = ModelBasedFracturer::new(FractureConfig::default());
         let target = Polygon::from_rect(Rect::new(0, 0, 40, 40).unwrap());
-        let (result, approx, outcome) = f.fracture_traced(&target);
+        let result = f.fracture(&target);
+        let cls = f.classify(&target);
+        let approx = crate::approximate_fracture(&target, &cls, f.model(), f.config(), f.lth());
+        let outcome = crate::refine(&cls, f.model(), f.config(), approx.shots.clone());
         assert_eq!(result.approx_shot_count, approx.shots.len());
         assert_eq!(result.iterations, outcome.iterations);
         assert!(!approx.corners.is_empty());
@@ -470,7 +418,9 @@ mod tests {
     #[test]
     fn feasible_run_is_tagged_ok() {
         let f = ModelBasedFracturer::new(FractureConfig::default());
-        let r = f.try_fracture(&Polygon::from_rect(Rect::new(0, 0, 50, 50).unwrap())).unwrap();
+        let r = f
+            .try_fracture(&square(50), &mut FractureScratch::new())
+            .unwrap();
         assert!(r.summary.is_feasible());
         assert_eq!(r.status, crate::FractureStatus::Ok);
     }
@@ -479,7 +429,9 @@ mod tests {
     fn try_fracture_rejects_sliver_with_typed_error() {
         let f = ModelBasedFracturer::new(FractureConfig::default());
         let sliver = Polygon::from_rect(Rect::new(0, 0, 60, 4).unwrap());
-        let err = f.try_fracture(&sliver).unwrap_err();
+        let err = f
+            .try_fracture(&sliver.into(), &mut FractureScratch::new())
+            .unwrap_err();
         assert!(
             matches!(err, crate::FractureError::InvalidTarget(_)),
             "expected InvalidTarget, got {err:?}"
@@ -521,7 +473,8 @@ mod tests {
             1.0,
         ));
         let f = ModelBasedFracturer::new(FractureConfig::default());
-        let err = f.try_fracture(&Polygon::from_rect(Rect::new(0, 0, 50, 50).unwrap()))
+        let err = f
+            .try_fracture(&square(50), &mut FractureScratch::new())
             .unwrap_err();
         match err {
             crate::FractureError::Internal { stage, message } => {
@@ -537,9 +490,8 @@ mod tests {
         let _scope =
             crate::faults::arm_scoped(crate::FaultPlan::only(7, crate::Fault::Panic, 1.0));
         let f = ModelBasedFracturer::new(FractureConfig::default());
-        let target = Polygon::from_rect(Rect::new(0, 0, 50, 50).unwrap());
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            f.try_fracture(&target)
+            f.try_fracture(&square(50), &mut FractureScratch::new())
         }));
         assert!(caught.is_err(), "panic fault must unwind");
     }
@@ -549,7 +501,9 @@ mod tests {
         let _scope =
             crate::faults::arm_scoped(crate::FaultPlan::only(13, crate::Fault::Timeout, 1.0));
         let f = ModelBasedFracturer::new(FractureConfig::default());
-        let r = f.try_fracture(&Polygon::from_rect(Rect::new(0, 0, 50, 50).unwrap())).unwrap();
+        let r = f
+            .try_fracture(&square(50), &mut FractureScratch::new())
+            .unwrap();
         assert!(r.status.is_usable());
     }
 }
@@ -559,6 +513,13 @@ mod region_tests {
     use super::*;
     use maskfrac_geom::Polygon;
 
+    /// Holds the fault-plan lock with nothing armed: the plan is
+    /// process-global, and `try_fracture` probes it, so a fault test
+    /// running alongside must not inject into these runs.
+    fn no_faults() -> crate::FaultScope {
+        crate::faults::arm_scoped(crate::FaultPlan::uniform(0, 0.0))
+    }
+
     #[test]
     fn donut_region_fractures_feasibly() {
         // A square annulus: 90x90 outer with a 30x30 central hole.
@@ -566,7 +527,8 @@ mod region_tests {
         let hole = Polygon::from_rect(Rect::new(30, 30, 60, 60).unwrap());
         let donut = Region::new(outer, vec![hole]).unwrap();
         let f = ModelBasedFracturer::new(FractureConfig::default());
-        let r = f.fracture_region(&donut);
+        let _quiet = no_faults();
+        let r = f.try_fracture(&donut, &mut FractureScratch::new()).unwrap();
         assert!(r.summary.is_feasible(), "{:?}", r.summary);
         // A square annulus needs ~4 overlapping shots.
         assert!(
@@ -588,7 +550,10 @@ mod region_tests {
         let target = Polygon::from_rect(Rect::new(0, 0, 50, 50).unwrap());
         let f = ModelBasedFracturer::new(FractureConfig::default());
         let a = f.fracture(&target);
-        let b = f.fracture_region(&Region::simple(target));
+        let _quiet = no_faults();
+        let b = f
+            .try_fracture(&Region::simple(target), &mut FractureScratch::new())
+            .unwrap();
         assert_eq!(a.shots, b.shots);
         assert_eq!(a.summary, b.summary);
     }

@@ -333,26 +333,17 @@ pub fn polish_edges(
 ///
 /// Infeasible inputs are returned unchanged — reduction only makes sense
 /// from a feasible solution.
-pub fn reduce_shots(
-    cls: &Classification,
-    model: &ExposureModel,
-    cfg: &FractureConfig,
-    shots: Vec<Rect>,
-) -> RefineOutcome {
-    let deadline = cfg.deadline.map(|d| std::time::Instant::now() + d);
-    reduce_shots_until_with(cls, model, cfg, shots, deadline, &mut FractureScratch::new())
-}
-
-/// [`reduce_shots`] against an absolute deadline, with an explicit
-/// [`FractureScratch`] arena (see [`refine_until_with`]): the sweep stops
-/// between candidate removals once the deadline passes, and the screening
+///
+/// Runs against an absolute `deadline` (the sweep stops between
+/// candidate removals once it passes) and an explicit
+/// [`FractureScratch`] arena (see [`refine_until_with`]): the screening
 /// map and every bounded refinement run inside it recycle the same
 /// buffers.
 ///
 /// Counts its removal tries in `fracture.reduce.attempts`, the tries it
 /// kept in `fracture.reduce.accepted`, and the refinement iterations spent
 /// on tries it discarded in `fracture.reduce.rejected_iterations`.
-pub fn reduce_shots_until_with(
+pub fn reduce_shots(
     cls: &Classification,
     model: &ExposureModel,
     cfg: &FractureConfig,

@@ -31,14 +31,17 @@ use maskfrac_ebeam::PixelClass;
 /// use maskfrac_fracture::{FractureConfig, FractureScratch, ModelBasedFracturer};
 /// use maskfrac_geom::{Polygon, Rect};
 ///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let fracturer = ModelBasedFracturer::new(FractureConfig::default());
 /// let mut scratch = FractureScratch::new();
 /// for side in [40, 50, 60] {
 ///     let target = Polygon::from_rect(Rect::new(0, 0, side, side).expect("rect"));
-///     // Identical to `fracture`, but reuses buffers across iterations.
-///     let result = fracturer.fracture_with(&target, &mut scratch);
+///     // One arena for every shape: buffers are reused, results unchanged.
+///     let result = fracturer.try_fracture(&target.into(), &mut scratch)?;
 ///     assert!(result.summary.is_feasible());
 /// }
+/// # Ok(())
+/// # }
 /// ```
 #[derive(Debug, Default)]
 pub struct FractureScratch {

@@ -3,7 +3,7 @@
 use maskfrac_ebeam::Classification;
 use maskfrac_fracture::corner::{cluster_corners, extract_shot_corners};
 use maskfrac_fracture::refine::{polish_edges, reduce_shots, refine};
-use maskfrac_fracture::{CornerType, FractureConfig};
+use maskfrac_fracture::{CornerType, FractureConfig, FractureScratch};
 use maskfrac_geom::rng::{for_cases, StdRng};
 use maskfrac_geom::{Point, Polygon, Rect};
 
@@ -105,7 +105,14 @@ fn check_reduce_shots_never_worsens(poly: &Polygon) -> bool {
     if !maskfrac_fracture::verify_shots(poly, &spiked, &cfg).is_feasible() {
         return false;
     }
-    let out = reduce_shots(&cls, &model, &cfg, spiked.clone());
+    let out = reduce_shots(
+        &cls,
+        &model,
+        &cfg,
+        spiked.clone(),
+        None,
+        &mut FractureScratch::new(),
+    );
     assert!(out.summary.is_feasible());
     assert!(
         out.shots.len() < spiked.len(),
@@ -146,8 +153,9 @@ fn try_fracture_never_panics_on_rect_targets() {
         let (w, h) = (rng.gen_range(1..=69), rng.gen_range(1..=69));
         let f = maskfrac_fracture::ModelBasedFracturer::new(FractureConfig::default());
         let poly = Polygon::from_rect(Rect::new(0, 0, w, h).expect("rect"));
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f.try_fracture(&poly)));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            f.try_fracture(&poly.into(), &mut FractureScratch::new())
+        }));
         assert!(outcome.is_ok(), "panicked on {w}x{h}");
         if let Ok(Ok(r)) = outcome {
             assert!(r.status.is_usable());
@@ -156,11 +164,18 @@ fn try_fracture_never_panics_on_rect_targets() {
 }
 
 mod degenerate_inputs {
-    use maskfrac_fracture::{FractureConfig, FractureError, ModelBasedFracturer, TargetDefect};
+    use maskfrac_fracture::{
+        FractureConfig, FractureError, FractureResult, FractureScratch, ModelBasedFracturer,
+        TargetDefect,
+    };
     use maskfrac_geom::{Point, Polygon, Rect};
 
     fn fracturer() -> ModelBasedFracturer {
         ModelBasedFracturer::new(FractureConfig::default())
+    }
+
+    fn try_fracture(target: Polygon) -> Result<FractureResult, FractureError> {
+        fracturer().try_fracture(&target.into(), &mut FractureScratch::new())
     }
 
     #[test]
@@ -175,9 +190,7 @@ mod degenerate_inputs {
 
     #[test]
     fn single_pixel_target_is_rejected_not_panicked() {
-        let err = fracturer()
-            .try_fracture(&Polygon::from_rect(Rect::new(0, 0, 1, 1).unwrap()))
-            .unwrap_err();
+        let err = try_fracture(Polygon::from_rect(Rect::new(0, 0, 1, 1).unwrap())).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -191,7 +204,7 @@ mod degenerate_inputs {
     fn sub_lmin_sliver_is_rejected() {
         let cfg = FractureConfig::default();
         let sliver = Polygon::from_rect(Rect::new(0, 0, 60, cfg.min_shot_size - 1).unwrap());
-        let err = fracturer().try_fracture(&sliver).unwrap_err();
+        let err = try_fracture(sliver).unwrap_err();
         match err {
             FractureError::InvalidTarget(TargetDefect::TooSmall { min_side, lmin }) => {
                 assert_eq!(min_side, cfg.min_shot_size - 1);
@@ -215,7 +228,7 @@ mod degenerate_inputs {
             Point::new(0, 10),
         ])
         .unwrap();
-        let err = fracturer().try_fracture(&pinch).unwrap_err();
+        let err = try_fracture(pinch).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -231,7 +244,7 @@ mod degenerate_inputs {
         // bbox, long before an intensity-map grid could be allocated.
         let huge = Polygon::from_rect(Rect::new(0, 0, 1_000_000, 1_000_000).unwrap());
         let started = std::time::Instant::now();
-        let err = fracturer().try_fracture(&huge).unwrap_err();
+        let err = try_fracture(huge).unwrap_err();
         assert!(started.elapsed() < std::time::Duration::from_secs(1));
         assert!(
             matches!(

@@ -4,7 +4,9 @@
 //! other sweep may run while the counter deltas are read.
 
 use maskfrac_fracture::refine::{reduce_shots, refine};
-use maskfrac_fracture::{approximate_fracture, FractureConfig, ModelBasedFracturer};
+use maskfrac_fracture::{
+    approximate_fracture, FractureConfig, FractureScratch, ModelBasedFracturer,
+};
 
 #[test]
 fn reduce_counters_match_the_removed_shots() {
@@ -39,7 +41,14 @@ fn reduce_counters_match_the_removed_shots() {
         "fracture.reduce.rejected_iterations",
     ];
     let before = names.map(counter);
-    let reduced = reduce_shots(&cls, fracturer.model(), &cfg, refined.shots.clone());
+    let reduced = reduce_shots(
+        &cls,
+        fracturer.model(),
+        &cfg,
+        refined.shots.clone(),
+        None,
+        &mut FractureScratch::new(),
+    );
     let [attempts, accepted, rejected_iterations] =
         [0, 1, 2].map(|i| counter(names[i]) - before[i]);
 

@@ -5,7 +5,9 @@
 
 use maskfrac_ebeam::Classification;
 use maskfrac_fracture::refine::{reduce_shots, refine, RefineOutcome};
-use maskfrac_fracture::{approximate_fracture, FractureConfig, ModelBasedFracturer};
+use maskfrac_fracture::{
+    approximate_fracture, FractureConfig, FractureScratch, ModelBasedFracturer,
+};
 use maskfrac_geom::Rect;
 
 const STOPS: [&str; 4] = [
@@ -83,7 +85,17 @@ fn each_refinement_counts_one_stop_reason() {
     // The reduce sweep runs one bounded refinement per try.
     let attempts = || maskfrac_obs::counter("fracture.reduce.attempts").get();
     let tries = attempts();
-    let (stops, reduced) = stops_of(|| reduce_shots(&clip1, model, &cfg, converged.shots.clone()));
+    let mut scratch = FractureScratch::new();
+    let (stops, reduced) = stops_of(|| {
+        reduce_shots(
+            &clip1,
+            model,
+            &cfg,
+            converged.shots.clone(),
+            None,
+            &mut scratch,
+        )
+    });
     let tries = attempts() - tries;
     assert!(reduced.shots.len() < converged.shots.len());
     assert!(tries > 1);

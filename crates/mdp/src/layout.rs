@@ -290,7 +290,7 @@ impl LayoutFractureReport {
 
 /// One canonical geometry's fracturing outcome, shared between every
 /// library entry in its D4-and-translation orbit by the dedup cache in
-/// [`fracture_layout`] (and, when enabled, the persistent tier).
+/// [`fracture_layout_opts`] (and, when enabled, the persistent tier).
 #[derive(Debug, Clone)]
 struct CachedShapeOutcome {
     /// Shot list in the canonical cell's frame.
@@ -436,28 +436,14 @@ fn geometry_key(polygon: &Polygon) -> Vec<u8> {
     key
 }
 
-/// Fractures every distinct shape of a layout, spreading shapes over
-/// `threads` worker threads (each shape is independent, exactly as the
-/// paper notes). Results are deterministic regardless of thread count.
-///
-/// Equivalent to [`fracture_layout_opts`] with the dedup cache on.
-pub fn fracture_layout(
-    layout: &Layout,
-    config: &FractureConfig,
-    threads: usize,
-) -> LayoutFractureReport {
-    fracture_layout_opts(
-        layout,
-        config,
-        &LayoutOptions {
-            threads,
-            ..LayoutOptions::default()
-        },
-    )
-}
-
 /// Fractures every placed shape of a layout under explicit
-/// [`LayoutOptions`].
+/// [`LayoutOptions`], spreading distinct shapes over `options.threads`
+/// worker threads (each shape is independent, exactly as the paper
+/// notes). Results are deterministic regardless of thread count.
+///
+/// The wrapper for runs without a checkpoint journal; the core is
+/// [`fracture_layout_journaled`]. To set only the thread count, pass
+/// `&LayoutOptions { threads, ..LayoutOptions::default() }`.
 ///
 /// Each shape runs through the crash-proof
 /// [`FallbackFracturer`] ladder: model-based, a
@@ -590,8 +576,6 @@ impl Watchdog {
     }
 }
 
-/// The shared layout driver behind [`fracture_layout_opts`] and
-/// [`fracture_layout_journaled`].
 /// One placed library shape, pre-canonicalized: the driver's work unit.
 struct WorkItem<'a> {
     name: &'a str,
@@ -600,6 +584,8 @@ struct WorkItem<'a> {
     geometry: u64,
 }
 
+/// The shared layout driver behind [`fracture_layout_opts`] and
+/// [`fracture_layout_journaled`].
 fn drive_layout(
     layout: &Layout,
     config: &FractureConfig,
@@ -813,9 +799,6 @@ fn drive_layout(
     }
 }
 
-/// A [`ShapeFractureStats`] row reconstructed from a journal record:
-/// `resumed` cache label and zero wall time (the work was paid for by
-/// the crashed run, not this one).
 /// Emits the `mdp.shape_done` ledger point for one finished shape:
 /// the per-shape breadcrumb of the captured event stream (Chrome-trace
 /// worker handoffs, cache reuse) and — through the broadcast bus — the
@@ -833,6 +816,9 @@ fn emit_shape_done(stats: &ShapeFractureStats) {
     );
 }
 
+/// A [`ShapeFractureStats`] row reconstructed from a journal record:
+/// `resumed` cache label and zero wall time (the work was paid for by
+/// the crashed run, not this one).
 fn stats_from_record(record: &JournalRecord, shape: &str, instances: usize) -> ShapeFractureStats {
     ShapeFractureStats {
         shape: shape.to_owned(),
@@ -893,6 +879,13 @@ fn append_journal_record(state: &JournalState, record: &JournalRecord) {
 mod tests {
     use super::*;
 
+    fn with_threads(threads: usize) -> LayoutOptions {
+        LayoutOptions {
+            threads,
+            ..LayoutOptions::default()
+        }
+    }
+
     fn square(side: i64) -> Polygon {
         Polygon::from_rect(Rect::new(0, 0, side, side).unwrap())
     }
@@ -933,7 +926,7 @@ mod tests {
     #[test]
     fn fracture_layout_counts_instances_once_per_shape() {
         let layout = demo_layout();
-        let report = fracture_layout(&layout, &FractureConfig::default(), 2);
+        let report = fracture_layout_opts(&layout, &FractureConfig::default(), &with_threads(2));
         // Unused shapes are not fractured.
         assert_eq!(report.per_shape.len(), 2);
         // Squares fracture to one shot each; instances multiply.
@@ -946,8 +939,8 @@ mod tests {
     fn thread_count_does_not_change_results() {
         let layout = demo_layout();
         let cfg = FractureConfig::default();
-        let a = fracture_layout(&layout, &cfg, 1);
-        let b = fracture_layout(&layout, &cfg, 4);
+        let a = fracture_layout_opts(&layout, &cfg, &with_threads(1));
+        let b = fracture_layout_opts(&layout, &cfg, &with_threads(4));
         let strip = |r: &LayoutFractureReport| -> Vec<(String, usize, usize, usize)> {
             r.per_shape
                 .iter()
@@ -961,21 +954,23 @@ mod tests {
     fn empty_layout_report() {
         let layout = Layout::new("empty");
         assert!(layout.bbox().is_none());
-        let report = fracture_layout(&layout, &FractureConfig::default(), 2);
+        let report = fracture_layout_opts(&layout, &FractureConfig::default(), &with_threads(2));
         assert_eq!(report.total_shots(), 0);
         assert_eq!(report.worst_status(), FractureStatus::Ok);
     }
 
     #[test]
     fn zero_threads_is_clamped_not_fatal() {
-        let report = fracture_layout(&demo_layout(), &FractureConfig::default(), 0);
+        let report =
+            fracture_layout_opts(&demo_layout(), &FractureConfig::default(), &with_threads(0));
         assert_eq!(report.per_shape.len(), 2);
         assert_eq!(report.total_shots(), 7);
     }
 
     #[test]
     fn clean_layout_is_all_ok_on_the_first_attempt() {
-        let report = fracture_layout(&demo_layout(), &FractureConfig::default(), 2);
+        let report =
+            fracture_layout_opts(&demo_layout(), &FractureConfig::default(), &with_threads(2));
         assert_eq!(report.worst_status(), FractureStatus::Ok);
         assert!(report.shapes_needing_review().is_empty());
         for s in &report.per_shape {
@@ -993,7 +988,7 @@ mod tests {
         // door, delivered by a baseline rung instead.
         layout.add_shape("sliver", Polygon::from_rect(Rect::new(0, 0, 60, 4).unwrap()));
         layout.place("sliver", Placement::at(0, 400));
-        let report = fracture_layout(&layout, &FractureConfig::default(), 2);
+        let report = fracture_layout_opts(&layout, &FractureConfig::default(), &with_threads(2));
         let sliver = report
             .per_shape
             .iter()
@@ -1016,7 +1011,8 @@ mod tests {
     fn injected_panics_never_abort_a_layout_run() {
         use maskfrac_fracture::{faults, Fault, FaultPlan};
         let _scope = faults::arm_scoped(FaultPlan::only(42, Fault::Panic, 1.0));
-        let report = fracture_layout(&demo_layout(), &FractureConfig::default(), 2);
+        let report =
+            fracture_layout_opts(&demo_layout(), &FractureConfig::default(), &with_threads(2));
         assert_eq!(report.per_shape.len(), 2);
         for s in &report.per_shape {
             assert_eq!(s.status, FractureStatus::Fallback, "{s:?}");
@@ -1029,7 +1025,7 @@ mod tests {
     #[test]
     fn ledger_records_mirror_stats() {
         let layout = demo_layout();
-        let report = fracture_layout(&layout, &FractureConfig::default(), 2);
+        let report = fracture_layout_opts(&layout, &FractureConfig::default(), &with_threads(2));
         for s in &report.per_shape {
             let rec = s.ledger_record();
             assert_eq!(rec.id, s.shape);
@@ -1274,7 +1270,7 @@ mod tests {
             );
             layout.place(&name, Placement::at(i as i64 * 200, 0));
         }
-        let report = fracture_layout(&layout, &FractureConfig::default(), 1);
+        let report = fracture_layout_opts(&layout, &FractureConfig::default(), &with_threads(1));
         assert_eq!(report.per_shape.len(), 8);
         let computed = report
             .per_shape
@@ -1298,13 +1294,14 @@ mod tests {
         let mut identity = Layout::new("id");
         identity.add_shape("bar", bar.clone());
         identity.place("bar", Placement::at(0, 0));
-        let local = fracture_layout(&identity, &cfg, 1).shape_shots["bar"].clone();
+        let local =
+            fracture_layout_opts(&identity, &cfg, &with_threads(1)).shape_shots["bar"].clone();
         assert!(!local.is_empty());
 
         let mut rotated = Layout::new("rot");
         rotated.add_shape("bar", bar);
         rotated.place("bar", Placement::transformed(100, 50, D4::R90));
-        let report = fracture_layout(&rotated, &cfg, 1);
+        let report = fracture_layout_opts(&rotated, &cfg, &with_threads(1));
         // World shots are exactly the placement transform applied to the
         // shape-local shots of the identity run.
         let expected: Vec<Rect> = local

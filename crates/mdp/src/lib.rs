@@ -10,9 +10,11 @@
 //!
 //! * [`layout`] — a [`layout::Layout`] of named shapes with
 //!   placement, plus deterministic multi-threaded fracturing of all
-//!   shapes ([`layout::fracture_layout`]), crash-proofed by a per-shape
-//!   fallback ladder (model-based → relaxed retry → baselines) so one
-//!   pathological shape degrades its own report row instead of the run;
+//!   shapes ([`layout::fracture_layout_journaled`], the core with a
+//!   checkpoint journal, and [`layout::fracture_layout_opts`], the
+//!   wrapper without one), crash-proofed by a per-shape fallback ladder
+//!   (model-based → relaxed retry → baselines) so one pathological shape
+//!   degrades its own report row instead of the run;
 //! * [`writetime`] — a VSB write-time estimator (shot flash time, stage
 //!   settling, dose) in the spirit of the write-time-estimation work the
 //!   paper cites;
@@ -60,7 +62,7 @@ pub use journal::{
     JournalWriter, JOURNAL_MAGIC, JOURNAL_VERSION,
 };
 pub use layout::{
-    fracture_layout, fracture_layout_journaled, fracture_layout_opts, CheckpointOptions, Layout,
+    fracture_layout_journaled, fracture_layout_opts, CheckpointOptions, Layout,
     LayoutFractureReport, LayoutOptions, Placement, ShapeFractureStats, MAX_LAYOUT_THREADS,
 };
 pub use writetime::{WriteTimeModel, WriteTimeReport};

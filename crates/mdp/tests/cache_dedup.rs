@@ -8,9 +8,7 @@
 
 use maskfrac_fracture::FractureConfig;
 use maskfrac_geom::{Polygon, Rect};
-use maskfrac_mdp::{
-    fracture_layout, fracture_layout_opts, Layout, LayoutFractureReport, LayoutOptions, Placement,
-};
+use maskfrac_mdp::{fracture_layout_opts, Layout, LayoutFractureReport, LayoutOptions, Placement};
 
 /// Layout with 9 library entries but only 3 distinct geometries: each
 /// geometry appears under three names, every entry placed twice.
@@ -71,7 +69,11 @@ fn pipeline_runs_exactly_once_per_distinct_geometry() {
     let mut reference: Option<Vec<ReportRow>> = None;
     for threads in [1usize, 2, 8] {
         let (misses0, hits0) = (counter("mdp.cache.misses"), counter("mdp.cache.hits"));
-        let report = fracture_layout(&layout, &cfg, threads);
+        let options = LayoutOptions {
+            threads,
+            ..LayoutOptions::default()
+        };
+        let report = fracture_layout_opts(&layout, &cfg, &options);
         let misses = counter("mdp.cache.misses") - misses0;
         let hits = counter("mdp.cache.hits") - hits0;
         assert_eq!(

@@ -5,7 +5,8 @@ use maskfrac_fracture::FractureConfig;
 use maskfrac_geom::rng::for_cases;
 use maskfrac_mdp::ordering::order_shots;
 use maskfrac_mdp::{
-    fracture_layout, parse_layout, write_layout, CostModel, Layout, Placement, WriteTimeModel,
+    fracture_layout_opts, parse_layout, write_layout, CostModel, Layout, LayoutOptions, Placement,
+    WriteTimeModel,
 };
 use maskfrac_shapes::ilt::{generate_ilt_clip, IltParams};
 
@@ -26,7 +27,11 @@ fn end_to_end_layout_flow() {
     let round_tripped = parse_layout(&write_layout(&layout)).expect("round trip");
     assert_eq!(layout, round_tripped);
 
-    let report = fracture_layout(&round_tripped, &FractureConfig::default(), 3);
+    let options = LayoutOptions {
+        threads: 3,
+        ..LayoutOptions::default()
+    };
+    let report = fracture_layout_opts(&round_tripped, &FractureConfig::default(), &options);
     assert_eq!(report.per_shape.len(), 1);
     let per_instance = report.per_shape[0].shots_per_instance;
     assert!(per_instance >= 1);

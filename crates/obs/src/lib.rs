@@ -8,7 +8,7 @@
 //!
 //! * [`metrics`] — a process-global registry of atomic [`Counter`]s and
 //!   locked [`Histogram`]s. Worker threads increment the same cells, so a
-//!   multi-threaded [`fracture_layout`] run aggregates for free.
+//!   multi-threaded [`fracture_layout_opts`] run aggregates for free.
 //! * [`mod@span`] — RAII wall-clock spans around pipeline stages. Every span
 //!   records `{count, total, min, max}` per name into the registry;
 //!   with [`set_trace`] enabled it also prints an indented enter/exit
@@ -38,7 +38,7 @@
 //!   `GET /metrics` (Prometheus text), `GET /healthz` (JSON liveness),
 //!   `GET /events` (live NDJSON stream off the bus).
 //!
-//! [`fracture_layout`]: https://docs.rs/maskfrac-mdp
+//! [`fracture_layout_opts`]: https://docs.rs/maskfrac-mdp
 //!
 //! # Example
 //!

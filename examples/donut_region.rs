@@ -5,7 +5,7 @@
 //! cargo run --release --example donut_region
 //! ```
 
-use maskfrac::fracture::{FractureConfig, ModelBasedFracturer};
+use maskfrac::fracture::{FractureConfig, FractureScratch, ModelBasedFracturer};
 use maskfrac::geom::svg::{Style, SvgCanvas};
 use maskfrac::shapes::ilt::{generate_ilt_donut, IltParams};
 
@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let fracturer = ModelBasedFracturer::new(FractureConfig::default());
-    let result = fracturer.fracture_region(&donut);
+    let result = fracturer.try_fracture(&donut, &mut FractureScratch::new())?;
     println!(
         "fractured into {} shots, {} failing pixels, {:.2} s",
         result.shot_count(),

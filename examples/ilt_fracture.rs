@@ -8,7 +8,7 @@
 //! Writes `ilt_fracture.svg` to the working directory.
 
 use maskfrac::ebeam::{evaluate, Classification, IntensityMap};
-use maskfrac::fracture::{FractureConfig, ModelBasedFracturer};
+use maskfrac::fracture::{approximate_fracture, FractureConfig, ModelBasedFracturer};
 use maskfrac::geom::svg::{Style, SvgCanvas};
 use maskfrac::shapes::ilt::{generate_ilt_clip, IltParams};
 
@@ -30,7 +30,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let config = FractureConfig::default();
     let fracturer = ModelBasedFracturer::new(config.clone());
-    let (result, approx, _) = fracturer.fracture_traced(&clip);
+    let result = fracturer.fracture(&clip);
+    // The approximate stage on its own, for the simplified boundary.
+    let approx = approximate_fracture(
+        &clip,
+        &fracturer.classify(&clip),
+        fracturer.model(),
+        &config,
+        fracturer.lth(),
+    );
     println!(
         "approximate stage: {} shots; refined: {} shots, {} failing pixels, {:.2} s",
         result.approx_shot_count,

@@ -8,7 +8,7 @@
 
 use maskfrac::baselines::{Conventional, MaskFracturer};
 use maskfrac::fracture::FractureConfig;
-use maskfrac::mdp::{fracture_layout, CostModel, Layout, Placement};
+use maskfrac::mdp::{fracture_layout_opts, CostModel, Layout, LayoutOptions, Placement};
 use maskfrac::shapes::ilt::{generate_ilt_clip, IltParams};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -43,7 +43,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Model-based fracturing over the whole layout (multi-threaded).
-    let report = fracture_layout(&layout, &cfg, 4);
+    let options = LayoutOptions {
+        threads: 4,
+        ..LayoutOptions::default()
+    };
+    let report = fracture_layout_opts(&layout, &cfg, &options);
     let model_based_shots = report.total_shots();
     println!("\nper-shape results (model-based):");
     for s in &report.per_shape {

@@ -5,10 +5,8 @@
 //! cargo run --release --example method_comparison [seed]
 //! ```
 
-use maskfrac::baselines::{
-    Conventional, GreedySetCover, MaskFracturer, MatchingPursuit, Ours, ProtoEda,
-};
-use maskfrac::fracture::FractureConfig;
+use maskfrac::baselines::{Conventional, GreedySetCover, MaskFracturer, MatchingPursuit, ProtoEda};
+use maskfrac::fracture::{FractureConfig, ModelBasedFracturer};
 use maskfrac::shapes::ilt::{generate_ilt_clip, IltParams};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -35,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Box::new(GreedySetCover::new(cfg.clone())),
         Box::new(MatchingPursuit::new(cfg.clone())),
         Box::new(ProtoEda::new(cfg.clone())),
-        Box::new(Ours::new(cfg)),
+        Box::new(ModelBasedFracturer::new(cfg)),
     ];
 
     println!(

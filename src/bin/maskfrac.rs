@@ -58,11 +58,11 @@
 //! the crash half of the kill-and-resume test harness).
 
 use maskfrac::baselines::{
-    Conventional, ExhaustiveOptimal, GreedySetCover, MaskFracturer, MatchingPursuit, Ours,
-    ProtoEda,
+    Conventional, ExhaustiveOptimal, GreedySetCover, MaskFracturer, MatchingPursuit, ProtoEda,
 };
-use maskfrac::fracture::FractureConfig;
+use maskfrac::fracture::{validate_target, FractureConfig, ModelBasedFracturer};
 use maskfrac::geom::svg::{Style, SvgCanvas};
+use maskfrac::geom::Region;
 use maskfrac::shapes::generated::{generate_benchmark, GeneratedParams};
 use maskfrac::shapes::ilt::{generate_ilt_clip, IltParams};
 use maskfrac::shapes::io::ShapeFile;
@@ -293,32 +293,18 @@ fn cmd_fracture(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let started = std::time::Instant::now();
 
     let fracturer: Box<dyn MaskFracturer> = match method {
-        "ours" => {
-            // The validating front door: degenerate shapes come back as a
-            // typed error naming the shape, not a panic.
-            let ours = Ours::new(cfg.clone());
-            let result = ours
-                .inner()
-                .try_fracture(&file.polygon)
-                .map_err(|e| format!("shape {:?}: {e}", file.id))?;
-            report(&file.id, "ours", &result, args, &file)?;
-            emit_shape_report(&file.id, "ours", &result, started, &obs)?;
-            return Ok(());
-        }
+        "ours" => Box::new(ModelBasedFracturer::new(cfg.clone())),
         "gsc" => Box::new(GreedySetCover::new(cfg.clone())),
         "mp" => Box::new(MatchingPursuit::new(cfg.clone())),
         "proto-eda" => Box::new(ProtoEda::new(cfg.clone())),
         "conventional" => Box::new(Conventional::new(cfg.clone())),
-        "exact" => {
-            // Exhaustive search is not a MaskFracturer-by-default; wrap it.
-            let exact = ExhaustiveOptimal::new(cfg.clone());
-            let result = exact.run(&file.polygon);
-            report(&file.id, "exact", &result, args, &file)?;
-            emit_shape_report(&file.id, "exact", &result, started, &obs)?;
-            return Ok(());
-        }
+        "exact" => Box::new(ExhaustiveOptimal::new(cfg.clone())),
         other => return Err(format!("unknown method {other:?}").into()),
     };
+    // One front door for every method: a degenerate shape comes back as
+    // a typed error naming the shape, not a panic or an empty shot list.
+    validate_target(&Region::simple(file.polygon.clone()), &cfg)
+        .map_err(|e| format!("shape {:?}: {e}", file.id))?;
     let result = fracturer.fracture(&file.polygon);
     report(&file.id, method, &result, args, &file)?;
     emit_shape_report(&file.id, method, &result, started, &obs)

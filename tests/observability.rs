@@ -9,12 +9,19 @@
 
 use maskfrac::fracture::FractureConfig;
 use maskfrac::geom::{Polygon, Rect};
-use maskfrac::mdp::{fracture_layout, Layout, Placement};
+use maskfrac::mdp::{fracture_layout_opts, Layout, LayoutOptions, Placement};
 use maskfrac::obs::{self, RunReport, ShapeRecord, SCHEMA_NAME, SCHEMA_VERSION};
 use std::time::Instant;
 
 fn square(side: i64) -> Polygon {
     Polygon::from_rect(Rect::new(0, 0, side, side).expect("rect"))
+}
+
+fn threads(threads: usize) -> LayoutOptions {
+    LayoutOptions {
+        threads,
+        ..LayoutOptions::default()
+    }
 }
 
 #[test]
@@ -93,7 +100,7 @@ fn counters_sum_across_layout_worker_threads() {
         layout.add_shape(&name, square(*side));
         layout.place(&name, Placement::at(i as i64 * 200, 0));
     }
-    let report = fracture_layout(&layout, &FractureConfig::default(), 4);
+    let report = fracture_layout_opts(&layout, &FractureConfig::default(), &threads(4));
     assert_eq!(report.per_shape.len(), 6);
 
     let shapes_after = obs::registry().snapshot().counters["mdp.shapes_fractured"];
@@ -116,7 +123,7 @@ fn layout_run_populates_pipeline_stage_spans_and_counters() {
     let mut layout = Layout::new("obs-stages");
     layout.add_shape("sq", square(42));
     layout.place("sq", Placement::at(0, 0));
-    let report = fracture_layout(&layout, &FractureConfig::default(), 2);
+    let report = fracture_layout_opts(&layout, &FractureConfig::default(), &threads(2));
     assert_eq!(report.total_shots(), 1);
 
     let snap = obs::registry().snapshot();
@@ -162,7 +169,7 @@ fn geometry_dedup_cache_serves_identical_shapes() {
     layout.add_shape("b", square(48));
     layout.place("a", Placement::at(0, 0));
     layout.place("b", Placement::at(500, 0));
-    let report = fracture_layout(&layout, &FractureConfig::default(), 1);
+    let report = fracture_layout_opts(&layout, &FractureConfig::default(), &threads(1));
 
     assert_eq!(report.per_shape.len(), 2);
     let (a, b) = (&report.per_shape[0], &report.per_shape[1]);

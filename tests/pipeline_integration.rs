@@ -1,8 +1,8 @@
 //! Cross-crate integration tests: the full fracturing pipeline against
 //! the benchmark suite, verified by independent re-simulation.
 
-use maskfrac::baselines::{MaskFracturer, Ours, ProtoEda};
-use maskfrac::fracture::{verify_shots, FractureConfig, ModelBasedFracturer};
+use maskfrac::baselines::{MaskFracturer, ProtoEda};
+use maskfrac::fracture::{verify_shots, FractureConfig, FractureScratch, ModelBasedFracturer};
 use maskfrac::shapes::{generated_suite, ilt_suite};
 
 /// A trimmed config keeps CI latency low without changing the physics.
@@ -99,7 +99,7 @@ fn ours_beats_proto_surrogate_on_suite_total() {
     // The paper's headline: the proposed method needs fewer shots than the
     // partition-seeded tool surrogate, summed over the suite.
     let cfg = fast_config();
-    let ours = Ours::new(cfg.clone());
+    let ours = ModelBasedFracturer::new(cfg.clone());
     let proto = ProtoEda::new(cfg);
     let mut ours_total = 0usize;
     let mut proto_total = 0usize;
@@ -121,10 +121,12 @@ fn degenerate_targets_yield_typed_errors_not_panics() {
     use maskfrac::fracture::{FractureError, TargetDefect};
     use maskfrac::geom::{Point, Polygon, Rect};
     let fracturer = ModelBasedFracturer::new(fast_config());
+    let try_fracture =
+        |target: Polygon| fracturer.try_fracture(&target.into(), &mut FractureScratch::new());
 
     let sliver = Polygon::from_rect(Rect::new(0, 0, 60, 4).unwrap());
     assert!(matches!(
-        fracturer.try_fracture(&sliver).unwrap_err(),
+        try_fracture(sliver).unwrap_err(),
         FractureError::InvalidTarget(TargetDefect::TooSmall { .. })
     ));
 
@@ -140,7 +142,7 @@ fn degenerate_targets_yield_typed_errors_not_panics() {
     ])
     .unwrap();
     assert!(matches!(
-        fracturer.try_fracture(&pinch).unwrap_err(),
+        try_fracture(pinch).unwrap_err(),
         FractureError::InvalidTarget(TargetDefect::NonSimple { .. })
     ));
 
@@ -149,7 +151,7 @@ fn degenerate_targets_yield_typed_errors_not_panics() {
     let huge = Polygon::from_rect(Rect::new(0, 0, 500_000, 500_000).unwrap());
     let started = std::time::Instant::now();
     assert!(matches!(
-        fracturer.try_fracture(&huge).unwrap_err(),
+        try_fracture(huge).unwrap_err(),
         FractureError::InvalidTarget(TargetDefect::TooLarge { .. })
     ));
     assert!(started.elapsed() < std::time::Duration::from_secs(1));
@@ -192,13 +194,17 @@ fn deadline_bounded_run_returns_within_two_deadlines() {
 #[test]
 fn layout_fallback_ladder_survives_a_degenerate_shape_end_to_end() {
     use maskfrac::geom::{Polygon, Rect};
-    use maskfrac::mdp::{fracture_layout, Layout, Placement};
+    use maskfrac::mdp::{fracture_layout_opts, Layout, LayoutOptions, Placement};
     let mut layout = Layout::new("mixed");
     layout.add_shape("good", Polygon::from_rect(Rect::new(0, 0, 50, 50).unwrap()));
     layout.add_shape("sliver", Polygon::from_rect(Rect::new(0, 0, 60, 4).unwrap()));
     layout.place("good", Placement::at(0, 0));
     layout.place("sliver", Placement::at(0, 200));
-    let report = fracture_layout(&layout, &fast_config(), 2);
+    let options = LayoutOptions {
+        threads: 2,
+        ..LayoutOptions::default()
+    };
+    let report = fracture_layout_opts(&layout, &fast_config(), &options);
     assert_eq!(report.per_shape.len(), 2);
     for s in &report.per_shape {
         assert!(s.status.is_usable(), "{}: {:?}", s.shape, s.status);

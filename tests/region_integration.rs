@@ -1,6 +1,6 @@
 //! Integration tests for the region (polygon-with-holes) pipeline.
 
-use maskfrac::fracture::{FractureConfig, ModelBasedFracturer};
+use maskfrac::fracture::{FractureConfig, FractureScratch, ModelBasedFracturer};
 use maskfrac::geom::{Polygon, Rect, Region};
 use maskfrac::shapes::ilt::{generate_ilt_donut, IltParams};
 
@@ -13,7 +13,9 @@ fn donut_suite_fractures_with_tiny_residues() {
             seed,
             ..IltParams::default()
         });
-        let result = fracturer.fracture_region(&donut);
+        let result = fracturer
+            .try_fracture(&donut, &mut FractureScratch::new())
+            .expect("a valid donut");
         assert!(
             result.summary.fail_count() <= 4,
             "seed {seed}: {:?}",

@@ -4,8 +4,8 @@
 //! regressions (the experiment harness doubles as a regression test, per
 //! DESIGN.md §11).
 
-use maskfrac::baselines::{GreedySetCover, MaskFracturer, Ours, ProtoEda};
-use maskfrac::fracture::FractureConfig;
+use maskfrac::baselines::{GreedySetCover, MaskFracturer, ProtoEda};
+use maskfrac::fracture::{FractureConfig, ModelBasedFracturer};
 use maskfrac::shapes::ilt_suite;
 
 /// Pinned per-clip expectations for the paper's method on the small and
@@ -22,7 +22,7 @@ const PINNED: &[(&str, usize, usize)] = &[
 
 #[test]
 fn ours_stays_within_pinned_budgets() {
-    let ours = Ours::new(FractureConfig::default());
+    let ours = ModelBasedFracturer::new(FractureConfig::default());
     let clips = ilt_suite();
     for &(id, max_shots, max_fails) in PINNED {
         let clip = clips.iter().find(|c| c.id == id).expect("clip exists");
@@ -45,7 +45,7 @@ fn method_ranking_holds_on_subset() {
     // The paper's ordering on suite totals: ours <= proto-eda < gsc.
     let cfg = FractureConfig::default();
     let methods: Vec<Box<dyn MaskFracturer>> = vec![
-        Box::new(Ours::new(cfg.clone())),
+        Box::new(ModelBasedFracturer::new(cfg.clone())),
         Box::new(ProtoEda::new(cfg.clone())),
         Box::new(GreedySetCover::new(cfg)),
     ];

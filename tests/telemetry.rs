@@ -9,7 +9,7 @@
 
 use maskfrac::fracture::FractureConfig;
 use maskfrac::geom::{Polygon, Rect};
-use maskfrac::mdp::{fracture_layout, Layout, Placement};
+use maskfrac::mdp::{fracture_layout_opts, Layout, LayoutOptions, Placement};
 use maskfrac::obs::{
     self, prometheus_text, sanitize_metric_name, ExpositionSnapshot, TelemetryServer,
 };
@@ -241,8 +241,12 @@ fn events_endpoint_streams_ledger_events_from_a_live_run() {
     // subscription lands, so allow a couple of attempts.
     let mut collected = String::new();
     let mut buf = [0u8; 16384];
+    let options = LayoutOptions {
+        threads: 2,
+        ..LayoutOptions::default()
+    };
     'attempts: for _ in 0..10 {
-        let report = fracture_layout(&layout, &FractureConfig::default(), 2);
+        let report = fracture_layout_opts(&layout, &FractureConfig::default(), &options);
         assert_eq!(report.per_shape.len(), 4);
         for _ in 0..20 {
             match stream.read(&mut buf) {

@@ -219,7 +219,7 @@ fn instrumentation_is_bit_neutral_on_clip_suite() {
 #[test]
 fn layout_ledger_is_bit_neutral_and_consistent() {
     use maskfrac::geom::{Polygon, Rect};
-    use maskfrac::mdp::{fracture_layout, Layout, Placement};
+    use maskfrac::mdp::{fracture_layout_opts, Layout, LayoutOptions, Placement};
 
     let build = || {
         let mut layout = Layout::new("neutrality");
@@ -231,11 +231,15 @@ fn layout_ledger_is_bit_neutral_and_consistent() {
         layout
     };
     let cfg = FractureConfig::default();
+    let options = LayoutOptions {
+        threads: 2,
+        ..LayoutOptions::default()
+    };
 
     let _gate = capture_gate();
     obs::set_capture(false);
-    let plain = fracture_layout(&build(), &cfg, 2);
-    let traced = with_capture_locked(|| fracture_layout(&build(), &cfg, 2));
+    let plain = fracture_layout_opts(&build(), &cfg, &options);
+    let traced = with_capture_locked(|| fracture_layout_opts(&build(), &cfg, &options));
 
     assert_eq!(plain.per_shape.len(), traced.per_shape.len());
     for (a, b) in plain.per_shape.iter().zip(&traced.per_shape) {
