@@ -2,23 +2,22 @@
 //!
 //! Production mask data prep cannot afford to lose a whole layout because
 //! one pathological shape panics the optimizer. [`FallbackFracturer`]
-//! wraps the paper's model-based method in a ladder of increasingly
-//! conservative attempts, each isolated behind `catch_unwind`:
+//! wraps the paper's model-based method in a fixed ladder of five
+//! increasingly conservative rungs, each isolated behind `catch_unwind`
+//! and walked in order until one delivers:
 //!
-//! 1. **model-based** — [`ModelBasedFracturer::try_fracture`], the
-//!    validating front door;
-//! 2. **model-based retries** — up to [`RetryPolicy::retries`] more
-//!    attempts under perturbed configurations (each allows one extra
-//!    refinement iteration, which also draws a fresh fault-injection
-//!    decision for transient injected faults), separated by the policy's
-//!    bounded exponential backoff;
-//! 3. **model-based degraded** — a deliberately coarser configuration
-//!    (quartered iteration budget, no reduction sweep, no plateau
-//!    restarts) once the retry budget is exhausted; a delivery here is
-//!    journaled as at-least-[`FractureStatus::Degraded`];
-//! 4. **proto-eda** — the tolerant-slab-seeded surrogate baseline,
+//! 1. **`ours`** — [`ModelBasedFracturer::try_fracture`], the validating
+//!    front door;
+//! 2. **`ours-retry`** — one re-attempt allowing one extra refinement
+//!    iteration, which also draws a fresh fault-injection decision for
+//!    transient injected faults. It runs at once: fault decisions are a
+//!    pure hash of `(seed, stage, key)`, so waiting could not change it;
+//! 3. **`ours-degraded`** — a deliberately coarser configuration
+//!    (quartered iteration budget, no reduction sweep, one plateau
+//!    restart); a delivery here is at least [`FractureStatus::Degraded`];
+//! 4. **`proto-eda`** — the tolerant-slab-seeded surrogate baseline,
 //!    tagged [`FractureStatus::Fallback`];
-//! 5. **conventional** — plain geometric partitioning, the method of
+//! 5. **`conventional`** — plain geometric partitioning, the method of
 //!    last resort, also tagged `Fallback`.
 //!
 //! A baseline rung only *delivers* a non-empty shot list; a rung that
@@ -29,6 +28,9 @@
 //! Only when every rung fails does the outcome carry
 //! [`FractureStatus::Failed`] — with an empty shot list and the collected
 //! failure causes, never a propagated panic.
+//!
+//! The ladder tallies no `fracture.status.*` counter: whoever delivers
+//! the outcome does, once per shape ([`FractureStatus::tally`]).
 
 use crate::conventional::Conventional;
 use crate::proto::ProtoEda;
@@ -36,7 +38,7 @@ use crate::MaskFracturer;
 use maskfrac_ebeam::FailureSummary;
 use maskfrac_fracture::{
     FractureConfig, FractureError, FractureResult, FractureScratch, FractureStatus,
-    ModelBasedFracturer, RetryPolicy,
+    ModelBasedFracturer,
 };
 use maskfrac_geom::{Polygon, Region};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -77,58 +79,76 @@ pub struct FallbackOutcome {
 /// ```
 pub struct FallbackFracturer {
     config: FractureConfig,
-    policy: RetryPolicy,
-    /// Model-based attempts in ladder order: `model[0]` is the primary
-    /// configuration, `model[i]` allows `i` extra refinement iterations.
-    model: Vec<Result<ModelBasedFracturer, String>>,
-    /// The coarser degraded-tier fracturer, tried after the retry budget
-    /// is exhausted and before the baseline rungs.
-    degraded: Result<ModelBasedFracturer, String>,
+    /// The five rungs in ladder order.
+    rungs: [Rung; 5],
+}
+
+/// One rung of the ladder: its method label, what it runs, and the
+/// least status a delivery from it carries.
+struct Rung {
+    method: &'static str,
+    engine: Engine,
+    floor: FractureStatus,
+}
+
+/// What a rung runs.
+enum Engine {
+    /// A model-based configuration, or why it could not be built.
+    Model(Result<ModelBasedFracturer, String>),
+    /// A baseline, built per call inside the rung's panic guard (an
+    /// invalid configuration may panic its constructor).
+    Baseline(fn(FractureConfig) -> Box<dyn MaskFracturer>),
 }
 
 impl FallbackFracturer {
-    /// Builds the ladder under the default [`RetryPolicy`] (one retry,
-    /// matching the original two-rung model-based ladder).
+    /// Builds the ladder. An invalid `config` is not an error here — the
+    /// model-based rungs will report it and the ladder falls through to
+    /// the baselines (whose own constructors run inside the rung guard).
     pub fn new(config: FractureConfig) -> Self {
-        Self::with_policy(config, RetryPolicy::default())
-    }
-
-    /// Builds the ladder with an explicit supervisor `policy`. An
-    /// invalid `config` is not an error here — the model-based rungs
-    /// will report it and the ladder falls through to the baselines
-    /// (whose own constructors are also guarded).
-    pub fn with_policy(config: FractureConfig, policy: RetryPolicy) -> Self {
-        // Each re-attempt allows one more refinement iteration: a
-        // harmless perturbation that changes the per-(shape, config)
-        // fault-injection fingerprint, so every retry draws an
-        // independent decision under injected faults.
-        let model = (0..policy.model_attempts() as usize)
-            .map(|extra| {
-                let cfg = FractureConfig {
-                    max_iterations: config.max_iterations.saturating_add(extra),
-                    ..config.clone()
-                };
-                ModelBasedFracturer::try_new(cfg).map_err(|e| e.to_string())
-            })
-            .collect();
-        let degraded =
-            ModelBasedFracturer::try_new(degraded_config(&config)).map_err(|e| e.to_string());
-        FallbackFracturer {
-            config,
-            policy,
-            model,
-            degraded,
-        }
+        let model = |cfg: FractureConfig| {
+            Engine::Model(ModelBasedFracturer::try_new(cfg).map_err(|e| e.to_string()))
+        };
+        // The retry allows one more refinement iteration: a harmless
+        // perturbation that changes the per-(shape, config)
+        // fault-injection fingerprint, so it draws an independent
+        // decision under injected faults.
+        let retry = FractureConfig {
+            max_iterations: config.max_iterations.saturating_add(1),
+            ..config.clone()
+        };
+        let rungs = [
+            Rung {
+                method: "ours",
+                engine: model(config.clone()),
+                floor: FractureStatus::Ok,
+            },
+            Rung {
+                method: "ours-retry",
+                engine: model(retry),
+                floor: FractureStatus::Ok,
+            },
+            Rung {
+                method: "ours-degraded",
+                engine: model(degraded_config(&config)),
+                floor: FractureStatus::Degraded,
+            },
+            Rung {
+                method: "proto-eda",
+                engine: Engine::Baseline(|cfg| Box::new(ProtoEda::new(cfg))),
+                floor: FractureStatus::Fallback,
+            },
+            Rung {
+                method: "conventional",
+                engine: Engine::Baseline(|cfg| Box::new(Conventional::new(cfg))),
+                floor: FractureStatus::Fallback,
+            },
+        ];
+        FallbackFracturer { config, rungs }
     }
 
     /// The configuration the ladder runs with.
     pub fn config(&self) -> &FractureConfig {
         &self.config
-    }
-
-    /// The supervisor policy the ladder runs under.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
     }
 
     /// Fractures one shape, descending the ladder until a rung delivers.
@@ -150,125 +170,44 @@ impl FallbackFracturer {
         let _ladder_span = maskfrac_obs::span("fallback.ladder");
         let start = Instant::now();
         let mut errors: Vec<String> = Vec::new();
-        let mut attempts = 0u32;
         let region = Region::simple(target.clone());
 
-        for (retry_index, fracturer) in self.model.iter().enumerate() {
-            let method = if retry_index == 0 { "ours" } else { "ours-retry" };
-            if retry_index > 0 {
-                // Bounded exponential pause before every re-attempt: a
-                // transient cause (injected panic, contended machine) is
-                // not immediately re-hit.
-                let pause = self.policy.backoff(retry_index as u32);
-                if !pause.is_zero() {
-                    maskfrac_obs::counter!("fallback.backoff_sleeps").incr();
-                    std::thread::sleep(pause);
-                }
-            }
-            attempts += 1;
-            maskfrac_obs::counter(rung_attempt_counter(method)).incr();
-            match fracturer {
-                Ok(f) => match guarded(|| f.try_fracture(&region, &mut *scratch)) {
-                    Ok(result) => {
-                        maskfrac_obs::counter(rung_delivered_counter(method)).incr();
-                        return FallbackOutcome {
-                            result,
-                            method,
-                            attempts,
-                            error: join_errors(&errors),
-                        }
-                    }
-                    Err(cause) => {
-                        maskfrac_obs::counter!("fallback.rung_failures").incr();
-                        errors.push(format!("{method}: {cause}"));
-                    }
-                },
-                Err(cause) => {
-                    maskfrac_obs::counter!("fallback.rung_failures").incr();
-                    errors.push(format!("{method}: {cause}"));
-                }
-            }
-        }
-
-        // Degraded tier: the retry budget is exhausted, so trade shot
-        // quality for a verdict under a coarser configuration before
-        // surrendering to the baselines. A delivery here is always
-        // journaled as at-least-Degraded, even if the coarse run itself
-        // came back clean.
-        attempts += 1;
-        maskfrac_obs::counter(rung_attempt_counter("ours-degraded")).incr();
-        match &self.degraded {
-            Ok(f) => match guarded(|| f.try_fracture(&region, &mut *scratch)) {
-                Ok(mut result) => {
-                    if result.status < FractureStatus::Degraded {
-                        result.status = FractureStatus::Degraded;
-                        maskfrac_obs::counter!("fracture.status.degraded").incr();
-                    }
-                    maskfrac_obs::counter(rung_delivered_counter("ours-degraded")).incr();
-                    return FallbackOutcome {
-                        result,
-                        method: "ours-degraded",
-                        attempts,
-                        error: join_errors(&errors),
-                    };
-                }
-                Err(cause) => {
-                    maskfrac_obs::counter!("fallback.rung_failures").incr();
-                    errors.push(format!("ours-degraded: {cause}"));
-                }
-            },
-            Err(cause) => {
-                maskfrac_obs::counter!("fallback.rung_failures").incr();
-                errors.push(format!("ours-degraded: {cause}"));
-            }
-        }
-
-        type Rung<'a> = Box<dyn FnOnce() -> FractureResult + 'a>;
-        let proto_cfg = self.config.clone();
-        let conv_cfg = self.config.clone();
-        let rungs: [(&'static str, Rung<'_>); 2] = [
-            (
-                "proto-eda",
-                Box::new(move || ProtoEda::new(proto_cfg).fracture(target)),
-            ),
-            (
-                "conventional",
-                Box::new(move || Conventional::new(conv_cfg).fracture(target)),
-            ),
-        ];
-        for (method, rung) in rungs {
-            attempts += 1;
-            maskfrac_obs::counter(rung_attempt_counter(method)).incr();
-            match guarded(|| Ok(rung())) {
+        for (attempts, rung) in (1..).zip(&self.rungs) {
+            maskfrac_obs::counter(rung_attempt_counter(rung.method)).incr();
+            let delivered = match &rung.engine {
+                Engine::Model(Ok(f)) => guarded(|| f.try_fracture(&region, &mut *scratch)),
+                Engine::Model(Err(cause)) => Err(cause.clone()),
                 // An empty shot list is not a delivery: proto-eda's
                 // min-size filter can drop every slab of a sub-`lmin`
-                // sliver, and accepting that as "usable" would hand the
-                // caller a Fallback status with nothing to write (the
-                // `robustness --inject` empty-shot-list violation).
-                // Fall through to the next rung instead.
-                Ok(result) if result.shots.is_empty() => {
-                    maskfrac_obs::counter!("fallback.rung_failures").incr();
-                    errors.push(format!("{method}: delivered an empty shot list"));
+                // sliver, and accepting that would hand the caller a
+                // Fallback status with nothing to write.
+                Engine::Baseline(build) => {
+                    match guarded(|| Ok(build(self.config.clone()).fracture(target))) {
+                        Ok(result) if result.shots.is_empty() => {
+                            Err("delivered an empty shot list".to_owned())
+                        }
+                        other => other,
+                    }
                 }
+            };
+            match delivered {
                 Ok(mut result) => {
-                    result.status = FractureStatus::Fallback;
-                    maskfrac_obs::counter(rung_delivered_counter(method)).incr();
-                    maskfrac_obs::counter!("fracture.status.fallback").incr();
+                    result.status = result.status.max(rung.floor);
+                    maskfrac_obs::counter(rung_delivered_counter(rung.method)).incr();
                     return FallbackOutcome {
                         result,
-                        method,
+                        method: rung.method,
                         attempts,
                         error: join_errors(&errors),
                     };
                 }
                 Err(cause) => {
                     maskfrac_obs::counter!("fallback.rung_failures").incr();
-                    errors.push(format!("{method}: {cause}"));
+                    errors.push(format!("{}: {cause}", rung.method));
                 }
             }
         }
 
-        maskfrac_obs::counter!("fracture.status.failed").incr();
         FallbackOutcome {
             result: FractureResult {
                 shots: Vec::new(),
@@ -284,7 +223,7 @@ impl FallbackFracturer {
                 deadline_hit: false,
             },
             method: "none",
-            attempts,
+            attempts: self.rungs.len() as u32,
             error: join_errors(&errors),
         }
     }
@@ -416,28 +355,26 @@ mod tests {
     #[test]
     fn retry_budget_controls_model_attempts() {
         // A sliver fails validation on every model-based attempt and is
-        // dropped whole by proto-eda's min-size filter, so the attempt
-        // count exposes the ladder length directly:
-        // (1 + retries) model rungs + degraded + proto-eda + conventional.
-        let sliver = Polygon::from_rect(Rect::new(0, 0, 60, 4).unwrap());
-        for retries in [0u32, 1, 3] {
-            let f = FallbackFracturer::with_policy(
-                FractureConfig::default(),
-                RetryPolicy {
-                    retries,
-                    backoff_base_ms: 0,
-                    backoff_max_ms: 0,
-                },
-            );
-            let out = f.fracture(&sliver);
-            assert_eq!(out.result.status, FractureStatus::Fallback);
-            assert_eq!(out.attempts, retries + 4, "retries={retries}");
-            assert!(out.error.as_deref().unwrap_or("").contains("ours-degraded:"));
-            assert!(
-                out.error.as_deref().unwrap_or("").contains("empty shot list"),
-                "proto-eda's dropped delivery is recorded as a cause"
-            );
-        }
+        // dropped whole by proto-eda's min-size filter, so it walks the
+        // whole ladder: the primary attempt and its one retry, then the
+        // degraded tier, proto-eda and conventional, in that order.
+        let f = FallbackFracturer::new(FractureConfig::default());
+        let out = f.fracture(&Polygon::from_rect(Rect::new(0, 0, 60, 4).unwrap()));
+        assert_eq!(out.result.status, FractureStatus::Fallback);
+        assert_eq!(out.method, "conventional");
+        assert_eq!(out.attempts, 5);
+        let causes: Vec<&str> = out
+            .error
+            .as_deref()
+            .unwrap_or("")
+            .split("; ")
+            .map(|c| c.split(':').next().unwrap_or(""))
+            .collect();
+        assert_eq!(causes, ["ours", "ours-retry", "ours-degraded", "proto-eda"]);
+        assert!(
+            out.error.as_deref().unwrap_or("").contains("empty shot list"),
+            "proto-eda's dropped delivery is recorded as a cause"
+        );
     }
 
     #[test]
@@ -445,10 +382,10 @@ mod tests {
         // Fault decisions are a pure hash of (seed, stage, config
         // fingerprint), and the degraded tier runs under a different
         // configuration than the full-budget attempts — so some seed
-        // panics the primary attempt but spares the degraded one. Scan
-        // for it deterministically.
+        // panics the primary attempt and its retry but spares the
+        // degraded one. Scan for it deterministically.
         let target = Polygon::from_rect(Rect::new(0, 0, 50, 50).unwrap());
-        let f = FallbackFracturer::with_policy(FractureConfig::default(), RetryPolicy::none());
+        let f = FallbackFracturer::new(FractureConfig::default());
         let mut seen_degraded = false;
         for seed in 0..64u64 {
             let _scope = faults::arm_scoped(FaultPlan::only(seed, Fault::Panic, 0.5));
@@ -458,8 +395,12 @@ mod tests {
                     out.result.status >= FractureStatus::Degraded,
                     "degraded delivery must not report a clean status"
                 );
-                assert!(out.error.expect("primary cause recorded").contains("ours:"));
-                assert_eq!(out.attempts, 2, "ours + ours-degraded");
+                let causes = out.error.expect("model-based causes recorded");
+                assert!(
+                    causes.contains("ours:") && causes.contains("ours-retry:"),
+                    "{causes}"
+                );
+                assert_eq!(out.attempts, 3, "ours + ours-retry + ours-degraded");
                 seen_degraded = true;
                 break;
             }

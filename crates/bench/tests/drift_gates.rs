@@ -400,7 +400,6 @@ fn hier_layout_gate_cold_then_warm_geometry_cache() {
     let _ = std::fs::remove_dir_all(&cache_dir);
     let opts = LayoutOptions {
         threads: 4,
-        dedup_cache: true,
         geom_cache: Some(cache_dir.clone()),
         ..LayoutOptions::default()
     };

@@ -211,6 +211,20 @@ impl FractureStatus {
             FractureStatus::Failed => "failed",
         }
     }
+
+    /// Counts one delivered shape under this status
+    /// (`fracture.status.<label>`). Whoever hands a result out calls it
+    /// exactly once per shape — the pipeline and the fallback ladder
+    /// never do — so the tallies sum to the shapes delivered.
+    pub fn tally(&self) {
+        maskfrac_obs::counter(match self {
+            FractureStatus::Ok => "fracture.status.ok",
+            FractureStatus::Degraded => "fracture.status.degraded",
+            FractureStatus::Fallback => "fracture.status.fallback",
+            FractureStatus::Failed => "fracture.status.failed",
+        })
+        .incr();
+    }
 }
 
 impl fmt::Display for FractureStatus {

@@ -46,7 +46,6 @@ pub mod error;
 pub mod faults;
 pub mod pipeline;
 pub mod refine;
-pub mod retry;
 pub mod report;
 pub mod scratch;
 pub mod validate;
@@ -62,6 +61,5 @@ pub use refine::{
     MAX_REFINE_THREADS,
 };
 pub use report::{verify_shots, FractureReport};
-pub use retry::RetryPolicy;
 pub use scratch::FractureScratch;
 pub use validate::{repair_target, validate_target, RepairedTarget};

@@ -12,7 +12,7 @@ use crate::geomcache::GeomCache;
 use crate::io::CheckpointIoError;
 use crate::journal::{self, JournalRecord, JournalWriter};
 use maskfrac_baselines::{FallbackFracturer, FallbackOutcome};
-use maskfrac_fracture::{FractureConfig, FractureScratch, FractureStatus, RetryPolicy};
+use maskfrac_fracture::{FractureConfig, FractureScratch, FractureStatus};
 use maskfrac_geom::{canonicalize, Canonical, Point, Polygon, Rect, D4};
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
@@ -158,8 +158,8 @@ pub struct ShapeFractureStats {
     /// `Fallback` when a baseline delivered the shots, `Failed` when
     /// every rung of the ladder failed (empty shot list).
     pub status: FractureStatus,
-    /// Which method delivered: `"ours"`, `"ours-retry"`, `"proto-eda"`,
-    /// `"conventional"`, or `"none"`.
+    /// Which method delivered: `"ours"`, `"ours-retry"`,
+    /// `"ours-degraded"`, `"proto-eda"`, `"conventional"`, or `"none"`.
     pub method: String,
     /// Failure causes of rungs that did not deliver, if any.
     pub error: Option<String>,
@@ -288,82 +288,6 @@ impl LayoutFractureReport {
     }
 }
 
-/// One canonical geometry's fracturing outcome, shared between every
-/// library entry in its D4-and-translation orbit by the dedup cache in
-/// [`fracture_layout_opts`] (and, when enabled, the persistent tier).
-#[derive(Debug, Clone)]
-struct CachedShapeOutcome {
-    /// Shot list in the canonical cell's frame.
-    shots: Vec<Rect>,
-    fail_pixels: usize,
-    status: FractureStatus,
-    method: String,
-    error: Option<String>,
-    attempts: u32,
-    iterations: usize,
-    on_fail_pixels: usize,
-    off_fail_pixels: usize,
-    deadline_hit: bool,
-    /// Served by the persistent geometry-cache tier rather than
-    /// computed in-process (reported as the `disk` cache label).
-    from_disk: bool,
-}
-
-impl CachedShapeOutcome {
-    /// Rebuilds an outcome from a persisted record (a geometry-cache
-    /// artifact).
-    fn from_record(record: JournalRecord) -> Self {
-        CachedShapeOutcome {
-            shots: record.shots,
-            fail_pixels: record.fail_pixels as usize,
-            status: record.status,
-            method: record.method,
-            error: record.error,
-            attempts: record.attempts,
-            iterations: record.iterations as usize,
-            on_fail_pixels: record.on_fail_pixels as usize,
-            off_fail_pixels: record.off_fail_pixels as usize,
-            deadline_hit: record.deadline_hit,
-            from_disk: true,
-        }
-    }
-    fn into_stats(
-        self,
-        shape: &str,
-        instances: usize,
-        runtime_s: f64,
-        cache: &'static str,
-    ) -> ShapeFractureStats {
-        ShapeFractureStats {
-            shape: shape.to_owned(),
-            shots_per_instance: self.shots.len(),
-            instances,
-            fail_pixels: self.fail_pixels,
-            runtime_s,
-            status: self.status,
-            method: self.method,
-            error: self.error,
-            attempts: self.attempts,
-            iterations: self.iterations,
-            on_fail_pixels: self.on_fail_pixels,
-            off_fail_pixels: self.off_fail_pixels,
-            cache: cache.to_owned(),
-            deadline_hit: self.deadline_hit,
-        }
-    }
-}
-
-/// Status-tally counter name for one [`FractureStatus`] (the registry
-/// keys on `&'static str`, so the names are spelled out).
-fn status_counter_name(status: FractureStatus) -> &'static str {
-    match status {
-        FractureStatus::Ok => "fracture.status.ok",
-        FractureStatus::Degraded => "fracture.status.degraded",
-        FractureStatus::Fallback => "fracture.status.fallback",
-        FractureStatus::Failed => "fracture.status.failed",
-    }
-}
-
 /// Options for [`fracture_layout_opts`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayoutOptions {
@@ -372,22 +296,9 @@ pub struct LayoutOptions {
     pub threads: usize,
     /// Serve identically-shaped library entries from the geometry dedup
     /// cache (on by default; turning it off fractures every library
-    /// entry independently — the A/B knob of the layout benchmark).
+    /// entry independently — the reference run the flat-layout drift
+    /// gate compares the cached driver against).
     pub dedup_cache: bool,
-    /// Supervisor policy for the per-shape fallback ladder: model-based
-    /// re-attempts and their bounded exponential backoff.
-    pub retry: RetryPolicy,
-    /// Watchdog threshold: flag a freshly-computed shape whose wall
-    /// time exceeds this multiple of the running p99 of prior computed
-    /// shapes (`mdp.watchdog.flagged`). `0` disables the watchdog.
-    pub hung_shape_multiple: u32,
-    /// Computed-shape samples the watchdog needs before it starts
-    /// flagging. Only *freshly computed* fracturing runs count as
-    /// samples — cache hits, persistent-tier loads, and journal replays
-    /// are excluded on both sides, so a cache-hit-heavy hierarchical
-    /// run (few computed cells, near-zero lookup times) can never
-    /// spuriously flag the remaining real computations.
-    pub watchdog_min_samples: usize,
     /// Root directory of the persistent geometry-cache tier
     /// ([`crate::geomcache`]); `None` disables it. When set, freshly
     /// computed canonical geometries are persisted and later runs load
@@ -401,9 +312,6 @@ impl Default for LayoutOptions {
         LayoutOptions {
             threads: 1,
             dedup_cache: true,
-            retry: RetryPolicy::default(),
-            hung_shape_multiple: 4,
-            watchdog_min_samples: 8,
             geom_cache: None,
         }
     }
@@ -446,8 +354,8 @@ fn geometry_key(polygon: &Polygon) -> Vec<u8> {
 /// `&LayoutOptions { threads, ..LayoutOptions::default() }`.
 ///
 /// Each shape runs through the crash-proof
-/// [`FallbackFracturer`] ladder: model-based, a
-/// relaxed model-based retry, then the `proto-eda` and `conventional`
+/// [`FallbackFracturer`] ladder: model-based, one model-based retry,
+/// a degraded model-based tier, then the `proto-eda` and `conventional`
 /// baselines. A shape that panics or errors never takes the run down —
 /// it lands in the report as `Fallback` (baseline shots) or `Failed`
 /// (empty shot list plus the recorded causes). Every worker carries its
@@ -541,34 +449,35 @@ struct JournalState {
     append_ok: AtomicBool,
 }
 
+/// The hung-shape watchdog flags a computed shape slower than this
+/// multiple of the running p99 of prior computed shapes.
+const WATCHDOG_MULTIPLE: u32 = 4;
+
+/// Computed-shape samples the watchdog needs before it starts flagging.
+/// Only freshly computed fracturing runs count — cache hits, disk loads
+/// and journal replays are excluded on both sides, so a cache-hit-heavy
+/// hierarchical run (few computed cells) can never spuriously flag the
+/// remaining real computations.
+const WATCHDOG_MIN_SAMPLES: usize = 8;
+
 /// Running watchdog over computed-shape wall times: keeps a sorted
 /// sample vector and flags completions exceeding
-/// `multiple × p99(prior samples)`. Cache hits and resumed shapes are
-/// excluded — their near-zero wall times would drag the p99 to nothing
-/// and flag every real computation.
+/// [`WATCHDOG_MULTIPLE`]` × p99(prior samples)` once
+/// [`WATCHDOG_MIN_SAMPLES`] samples exist.
+#[derive(Default)]
 struct Watchdog {
-    multiple: u32,
-    min_samples: usize,
     samples: Mutex<Vec<f64>>,
 }
 
 impl Watchdog {
-    fn new(options: &LayoutOptions) -> Option<Self> {
-        (options.hung_shape_multiple > 0).then(|| Watchdog {
-            multiple: options.hung_shape_multiple,
-            min_samples: options.watchdog_min_samples.max(1),
-            samples: Mutex::new(Vec::new()),
-        })
-    }
-
     /// Records one computed shape's wall time; returns whether the
     /// shape should be flagged as hung (against the p99 of *prior*
     /// samples, so one monster shape cannot hide itself).
     fn observe(&self, runtime_s: f64) -> bool {
         let mut samples = self.samples.lock().unwrap_or_else(|e| e.into_inner());
-        let flagged = samples.len() >= self.min_samples && {
+        let flagged = samples.len() >= WATCHDOG_MIN_SAMPLES && {
             let p99 = samples[(samples.len() - 1).min(samples.len() * 99 / 100)];
-            runtime_s > f64::from(self.multiple) * p99
+            runtime_s > f64::from(WATCHDOG_MULTIPLE) * p99
         };
         let at = samples.partition_point(|&s| s <= runtime_s);
         samples.insert(at, runtime_s);
@@ -614,188 +523,195 @@ fn drive_layout(
         })
         .collect();
 
-    // The persistent tier is strictly optional: a directory that cannot
-    // be opened degrades to an uncached run (stderr warning), exactly
-    // like a failing journal append.
-    let geomcache: Option<GeomCache> = options.geom_cache.as_deref().and_then(|root| {
-        GeomCache::open(root, config)
-            .map_err(|e| eprintln!("maskfrac: geometry cache disabled ({}): {e}", root.display()))
-            .ok()
-    });
-
-    let results: Mutex<Vec<ShapeFractureStats>> = Mutex::new(Vec::new());
-    let shot_lists: Mutex<BTreeMap<String, Vec<Rect>>> = Mutex::new(BTreeMap::new());
-    let next: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-    // Shapes placed under different names but with D4-equivalent
-    // geometry produce one shared result (the whole pipeline — including
-    // fault fingerprints — is a function of canonical geometry and
-    // config), so one fracturing run serves them all.
-    let cache: Option<ShardedCache<CachedShapeOutcome>> =
-        options.dedup_cache.then(ShardedCache::new);
-    let watchdog = Watchdog::new(options);
-
+    let driver = Driver {
+        // The persistent tier is strictly optional: a directory that
+        // cannot be opened degrades to an uncached run (stderr warning),
+        // exactly like a failing journal append.
+        geomcache: options.geom_cache.as_deref().and_then(|root| {
+            GeomCache::open(root, config)
+                .map_err(|e| {
+                    eprintln!(
+                        "maskfrac: geometry cache disabled ({}): {e}",
+                        root.display()
+                    )
+                })
+                .ok()
+        }),
+        // Shapes placed under different names but with D4-equivalent
+        // geometry produce one shared result (the whole pipeline —
+        // including fault fingerprints — is a function of canonical
+        // geometry and config), so one fracturing run serves them all.
+        cache: options.dedup_cache.then(ShardedCache::new),
+        journal,
+        watchdog: Watchdog::default(),
+        counts,
+        results: Mutex::new(Vec::new()),
+        shot_lists: Mutex::new(BTreeMap::new()),
+    };
+    let next = std::sync::atomic::AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..threads.min(work.len().max(1)) {
             scope.spawn(|| {
                 // One ladder and one scratch arena per worker: Lth
                 // derivation and the hot-path buffers are shared per
                 // thread, shapes pull work-stealing style off the queue.
-                let fracturer = FallbackFracturer::with_policy(config.clone(), options.retry);
+                let fracturer = FallbackFracturer::new(config.clone());
                 let mut scratch = FractureScratch::new();
-                loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(item) = work.get(i) else {
-                        break;
-                    };
-                    let name = item.name;
-                    // Canonical-frame shots map back to the shape's
-                    // local frame through its canonical transform.
-                    let localize = |shots: &[Rect]| -> Vec<Rect> {
-                        shots
-                            .iter()
-                            .map(|s| {
-                                item.canonical
-                                    .from_canonical
-                                    .apply_rect(s)
-                                    .translate(item.canonical.offset)
-                            })
-                            .collect()
-                    };
-
-                    // A journal replay serves the shape without touching
-                    // the pipeline: no ladder spans, no wall time, so a
-                    // resumed run cannot skew stage quantiles.
-                    if let Some(record) =
-                        journal.and_then(|state| state.replay.get(&item.geometry))
-                    {
-                        let stats = stats_from_record(record, name, counts[name]);
-                        maskfrac_obs::counter(status_counter_name(stats.status)).incr();
-                        maskfrac_obs::counter!("mdp.shapes_fractured").incr();
-                        maskfrac_obs::counter!("mdp.instances_covered")
-                            .add(stats.instances as u64);
-                        emit_shape_done(&stats);
-                        shot_lists
-                            .lock()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner())
-                            .insert(name.to_owned(), localize(&record.shots));
-                        results
-                            .lock()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner())
-                            .push(stats);
-                        continue;
-                    }
-
-                    let started = std::time::Instant::now();
-                    let fracture = |scratch: &mut FractureScratch| {
-                        // Persistent tier first: an artifact from a
-                        // previous run serves the canonical cell without
-                        // re-fracturing (and is re-journaled so a resume
-                        // stays self-contained without the cache dir).
-                        if let Some(record) =
-                            geomcache.as_ref().and_then(|gc| gc.load(item.geometry))
-                        {
-                            if let Some(state) = journal {
-                                append_journal_record(state, &record);
-                            }
-                            return CachedShapeOutcome::from_record(record);
-                        }
-                        let outcome = fracturer.fracture_with(&item.canonical.polygon, scratch);
-                        let record = outcome_record(item.geometry, &outcome);
-                        if let Some(state) = journal {
-                            append_journal_record(state, &record);
-                        }
-                        if let Some(gc) = &geomcache {
-                            if let Err(e) = gc.store(&record) {
-                                eprintln!(
-                                    "maskfrac: geometry cache store failed for {name:?}: {e}"
-                                );
-                            }
-                        }
-                        CachedShapeOutcome {
-                            shots: record.shots,
-                            fail_pixels: outcome.result.summary.fail_count(),
-                            status: outcome.result.status,
-                            method: outcome.method.to_owned(),
-                            error: outcome.error,
-                            attempts: outcome.attempts,
-                            iterations: outcome.result.iterations,
-                            on_fail_pixels: outcome.result.summary.on_fails,
-                            off_fail_pixels: outcome.result.summary.off_fails,
-                            deadline_hit: outcome.result.deadline_hit,
-                            from_disk: false,
-                        }
-                    };
-                    let (cached, lookup) = match &cache {
-                        Some(cache) => cache.get_or_compute(&item.key, || fracture(&mut scratch)),
-                        None => (fracture(&mut scratch), crate::cache::CacheLookup::Computed),
-                    };
-                    if !lookup.computed() {
-                        // Replay the status tally the skipped pipeline
-                        // would have recorded, so per-shape status counts
-                        // stay complete under deduplication.
-                        maskfrac_obs::counter(status_counter_name(cached.status)).incr();
-                    }
-                    let computed_fresh = lookup.computed() && !cached.from_disk;
-                    let cache_label = if cached.from_disk && lookup.computed() {
-                        "disk"
-                    } else if cache.is_some() {
-                        lookup.label()
-                    } else {
-                        "off"
-                    };
-                    let runtime_s = started.elapsed().as_secs_f64();
-                    if computed_fresh {
-                        // Only genuine pipeline runs feed the watchdog:
-                        // disk loads (like cache hits) take microseconds
-                        // and would otherwise crater the p99 baseline.
-                        if let Some(w) = &watchdog {
-                            if w.observe(runtime_s) {
-                                maskfrac_obs::counter!("mdp.watchdog.flagged").incr();
-                                maskfrac_obs::point_with(
-                                    "mdp.watchdog_flag",
-                                    [
-                                        ("shape", name.into()),
-                                        ("runtime_ms", ((runtime_s * 1e3) as u64).into()),
-                                    ],
-                                );
-                                eprintln!(
-                                    "maskfrac: watchdog: shape {name:?} took {runtime_s:.3}s, \
-                                     over {}x the p99 of prior shapes",
-                                    w.multiple
-                                );
-                            }
-                        }
-                    }
-                    let local_shots = localize(&cached.shots);
-                    let stats = cached.into_stats(name, counts[name], runtime_s, cache_label);
-                    maskfrac_obs::counter!("mdp.shapes_fractured").incr();
-                    maskfrac_obs::counter!("mdp.instances_covered").add(stats.instances as u64);
-                    emit_shape_done(&stats);
-                    shot_lists
-                        .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .insert(name.to_owned(), local_shots);
-                    // A worker that somehow dies mid-push must not strand
-                    // the run: recover the data from a poisoned lock.
-                    results
-                        .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .push(stats);
+                while let Some(item) = work.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    driver.deliver(item, &fracturer, &mut scratch);
                 }
             });
         }
     });
 
-    let mut per_shape = results
+    // A worker that somehow died mid-push must not strand the run:
+    // recover the data from a poisoned lock.
+    let mut per_shape = driver
+        .results
         .into_inner()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
     per_shape.sort_by(|a, b| a.shape.cmp(&b.shape));
     LayoutFractureReport {
         layout: layout.name.clone(),
         per_shape,
-        shape_shots: shot_lists
+        shape_shots: driver
+            .shot_lists
             .into_inner()
             .unwrap_or_else(|poisoned| poisoned.into_inner()),
+    }
+}
+
+/// What the workers of one layout run share.
+struct Driver<'a> {
+    geomcache: Option<GeomCache>,
+    /// The in-flight dedup cache; the flag says the record was served by
+    /// the persistent tier rather than computed.
+    cache: Option<ShardedCache<(JournalRecord, bool)>>,
+    journal: Option<&'a JournalState>,
+    watchdog: Watchdog,
+    /// Placement count per shape name.
+    counts: BTreeMap<String, usize>,
+    results: Mutex<Vec<ShapeFractureStats>>,
+    shot_lists: Mutex<BTreeMap<String, Vec<Rect>>>,
+}
+
+impl Driver<'_> {
+    /// Serves one library entry from the first tier that has it and
+    /// records it: status tally, ledger point, shot list and row — the
+    /// one delivery point, so every entry is counted exactly once.
+    fn deliver(
+        &self,
+        item: &WorkItem<'_>,
+        fracturer: &FallbackFracturer,
+        scratch: &mut FractureScratch,
+    ) {
+        let name = item.name;
+        let replayed = self
+            .journal
+            .and_then(|state| state.replay.get(&item.geometry));
+        let served;
+        let (record, cache_label, runtime_s) = match replayed {
+            // A journal replay serves the shape without touching the
+            // pipeline: no ladder spans, no wall time, so a resumed run
+            // cannot skew stage quantiles.
+            Some(record) => (record, "resumed", 0.0),
+            None => {
+                let started = std::time::Instant::now();
+                let ((record, from_disk), lookup) = match &self.cache {
+                    Some(cache) => {
+                        cache.get_or_compute(&item.key, || self.fracture(item, fracturer, scratch))
+                    }
+                    None => (
+                        self.fracture(item, fracturer, scratch),
+                        crate::cache::CacheLookup::Computed,
+                    ),
+                };
+                let runtime_s = started.elapsed().as_secs_f64();
+                let cache_label = if from_disk && lookup.computed() {
+                    "disk"
+                } else if self.cache.is_some() {
+                    lookup.label()
+                } else {
+                    "off"
+                };
+                // Only genuine pipeline runs feed the watchdog: disk
+                // loads (like cache hits) take microseconds and would
+                // otherwise crater the p99 baseline.
+                if lookup.computed() && !from_disk && self.watchdog.observe(runtime_s) {
+                    maskfrac_obs::counter!("mdp.watchdog.flagged").incr();
+                    maskfrac_obs::point_with(
+                        "mdp.watchdog_flag",
+                        [
+                            ("shape", name.into()),
+                            ("runtime_ms", ((runtime_s * 1e3) as u64).into()),
+                        ],
+                    );
+                    eprintln!(
+                        "maskfrac: watchdog: shape {name:?} took {runtime_s:.3}s, \
+                         over {WATCHDOG_MULTIPLE}x the p99 of prior shapes"
+                    );
+                }
+                served = record;
+                (&served, cache_label, runtime_s)
+            }
+        };
+        record.status.tally();
+        let stats = shape_row(record, name, self.counts[name], runtime_s, cache_label);
+        maskfrac_obs::counter!("mdp.shapes_fractured").incr();
+        maskfrac_obs::counter!("mdp.instances_covered").add(stats.instances as u64);
+        emit_shape_done(&stats);
+        // Canonical-frame shots map back to the shape's local frame
+        // through its canonical transform.
+        let local_shots = record
+            .shots
+            .iter()
+            .map(|s| {
+                item.canonical
+                    .from_canonical
+                    .apply_rect(s)
+                    .translate(item.canonical.offset)
+            })
+            .collect();
+        self.shot_lists
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .insert(name.to_owned(), local_shots);
+        self.results
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .push(stats);
+    }
+
+    /// Fractures one library entry's canonical geometry, or loads it
+    /// from the persistent tier. A disk load is re-journaled so a resume
+    /// stays self-contained without the cache directory; a fresh result
+    /// is journaled and persisted. Returns the record and whether it
+    /// came from disk.
+    fn fracture(
+        &self,
+        item: &WorkItem<'_>,
+        fracturer: &FallbackFracturer,
+        scratch: &mut FractureScratch,
+    ) -> (JournalRecord, bool) {
+        let disk = self.geomcache.as_ref();
+        if let Some(record) = disk.and_then(|gc| gc.load(item.geometry)) {
+            if let Some(state) = self.journal {
+                append_journal_record(state, &record);
+            }
+            return (record, true);
+        }
+        let outcome = fracturer.fracture_with(&item.canonical.polygon, scratch);
+        let record = outcome_record(item.geometry, outcome);
+        if let Some(state) = self.journal {
+            append_journal_record(state, &record);
+        }
+        if let Some(Err(e)) = disk.map(|gc| gc.store(&record)) {
+            eprintln!(
+                "maskfrac: geometry cache store failed for {:?}: {e}",
+                item.name
+            );
+        }
+        (record, false)
     }
 }
 
@@ -816,16 +732,21 @@ fn emit_shape_done(stats: &ShapeFractureStats) {
     );
 }
 
-/// A [`ShapeFractureStats`] row reconstructed from a journal record:
-/// `resumed` cache label and zero wall time (the work was paid for by
-/// the crashed run, not this one).
-fn stats_from_record(record: &JournalRecord, shape: &str, instances: usize) -> ShapeFractureStats {
+/// The report row of one library entry served `record` (in whichever
+/// tier, labelled `cache`).
+fn shape_row(
+    record: &JournalRecord,
+    shape: &str,
+    instances: usize,
+    runtime_s: f64,
+    cache: &str,
+) -> ShapeFractureStats {
     ShapeFractureStats {
         shape: shape.to_owned(),
         shots_per_instance: record.shots.len(),
         instances,
         fail_pixels: record.fail_pixels as usize,
-        runtime_s: 0.0,
+        runtime_s,
         status: record.status,
         method: record.method.clone(),
         error: record.error.clone(),
@@ -833,27 +754,28 @@ fn stats_from_record(record: &JournalRecord, shape: &str, instances: usize) -> S
         iterations: record.iterations as usize,
         on_fail_pixels: record.on_fail_pixels as usize,
         off_fail_pixels: record.off_fail_pixels as usize,
-        cache: "resumed".to_owned(),
+        cache: cache.to_owned(),
         deadline_hit: record.deadline_hit,
     }
 }
 
 /// A ladder outcome as the durable record shared by the checkpoint
-/// journal and the persistent geometry cache. `geometry` is the
-/// canonical-geometry fingerprint; the shot list is in canonical frame.
-fn outcome_record(geometry: u64, outcome: &FallbackOutcome) -> JournalRecord {
+/// journal, the persistent geometry cache and the dedup cache.
+/// `geometry` is the canonical-geometry fingerprint; the shot list is in
+/// canonical frame.
+fn outcome_record(geometry: u64, outcome: FallbackOutcome) -> JournalRecord {
     JournalRecord {
         geometry,
         status: outcome.result.status,
         method: outcome.method.to_owned(),
-        error: outcome.error.clone(),
+        error: outcome.error,
         attempts: outcome.attempts,
         iterations: outcome.result.iterations as u64,
         on_fail_pixels: outcome.result.summary.on_fails as u64,
         off_fail_pixels: outcome.result.summary.off_fails as u64,
         fail_pixels: outcome.result.summary.fail_count() as u64,
         deadline_hit: outcome.result.deadline_hit,
-        shots: outcome.result.shots.clone(),
+        shots: outcome.result.shots,
     }
 }
 
@@ -1061,23 +983,21 @@ mod tests {
         dir.join(format!("{tag}-{}.mfj", std::process::id()))
     }
 
-    /// The shape-order-independent view of a report used for
-    /// resumed-vs-uninterrupted comparisons: everything except wall time
-    /// and the cache label, which legitimately differ across runs.
-    fn essence(report: &LayoutFractureReport) -> Vec<(String, usize, usize, FractureStatus, String)> {
-        report
-            .per_shape
-            .iter()
-            .map(|s| {
-                (
-                    s.shape.clone(),
-                    s.shots_per_instance,
-                    s.fail_pixels,
-                    s.status,
-                    s.method.clone(),
-                )
-            })
-            .collect()
+    /// A row with the two fields that legitimately differ between runs
+    /// of one layout — wall time and the cache label — blanked, so every
+    /// other field must agree.
+    fn essence_row(s: &ShapeFractureStats) -> ShapeFractureStats {
+        ShapeFractureStats {
+            runtime_s: 0.0,
+            cache: String::new(),
+            ..s.clone()
+        }
+    }
+
+    /// The rows of a report as [`essence_row`]s, for resumed-vs-
+    /// uninterrupted and cross-tier comparisons.
+    fn essence(report: &LayoutFractureReport) -> Vec<ShapeFractureStats> {
+        report.per_shape.iter().map(essence_row).collect()
     }
 
     #[test]
@@ -1191,13 +1111,8 @@ mod tests {
 
     #[test]
     fn watchdog_flags_only_genuine_outliers() {
-        let w = Watchdog::new(&LayoutOptions {
-            hung_shape_multiple: 4,
-            watchdog_min_samples: 4,
-            ..LayoutOptions::default()
-        })
-        .unwrap();
-        for _ in 0..4 {
+        let w = Watchdog::default();
+        for _ in 0..WATCHDOG_MIN_SAMPLES {
             assert!(!w.observe(1.0), "baseline samples are never flagged");
         }
         assert!(!w.observe(3.9), "under the multiple");
@@ -1208,27 +1123,13 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_disabled_when_multiple_is_zero() {
-        assert!(Watchdog::new(&LayoutOptions {
-            hung_shape_multiple: 0,
-            ..LayoutOptions::default()
-        })
-        .is_none());
-    }
-
-    #[test]
     fn watchdog_waits_for_its_sample_floor() {
         // A cache-hit-heavy hierarchical run computes only a handful of
         // shapes; with near-zero lookup times in the sample pool the old
         // watchdog flagged every real computation. The sample floor
         // keeps it silent until enough *computed* samples exist.
-        let w = Watchdog::new(&LayoutOptions {
-            hung_shape_multiple: 4,
-            watchdog_min_samples: 8,
-            ..LayoutOptions::default()
-        })
-        .unwrap();
-        for _ in 0..7 {
+        let w = Watchdog::default();
+        for _ in 0..WATCHDOG_MIN_SAMPLES - 1 {
             assert!(!w.observe(0.001));
         }
         assert!(
@@ -1326,7 +1227,8 @@ mod tests {
     #[test]
     fn shot_output_is_identical_across_cache_tiers() {
         // The same cell served fresh, from the in-flight dedup cache,
-        // and from the persistent tier must yield byte-identical shots.
+        // from the persistent tier and from a checkpoint journal must
+        // yield byte-identical shots and the same report row.
         let cell = l_cell();
         let cfg = FractureConfig::default();
         let mut base = Layout::new("tiers");
@@ -1346,26 +1248,33 @@ mod tests {
         assert_eq!(fresh.per_shape[0].cache, "off");
         let fresh_shots = fresh.shape_shots["cell"].clone();
         assert!(!fresh_shots.is_empty());
+        let fresh_row = essence_row(&fresh.per_shape[0]);
+        // Checks one tier's row and shots for `name` against the fresh run.
+        let same_as_fresh = |report: &LayoutFractureReport, name: &str, label: &str| {
+            let row = report
+                .per_shape
+                .iter()
+                .find(|s| s.shape == name)
+                .expect("row reported");
+            assert_eq!(row.cache, label, "{name}");
+            let row = ShapeFractureStats {
+                shape: "cell".to_owned(),
+                ..essence_row(row)
+            };
+            assert_eq!(row, fresh_row, "{label} row differs from the fresh one");
+            assert_eq!(report.shape_shots[name], fresh_shots, "{label} shots");
+        };
 
         // In-flight tier: a second entry with the same local geometry
-        // hits the dedup cache; its shot list must match exactly.
+        // hits the dedup cache.
         let mut dup = Layout::new("tiers-dup");
         dup.add_shape("a", cell.clone());
         dup.add_shape("b", cell.clone());
         dup.place("a", Placement::at(0, 0));
         dup.place("b", Placement::at(500, 0));
-        let deduped = fracture_layout_opts(
-            &dup,
-            &cfg,
-            &LayoutOptions {
-                threads: 1,
-                ..LayoutOptions::default()
-            },
-        );
-        let labels: Vec<&str> = deduped.per_shape.iter().map(|s| s.cache.as_str()).collect();
-        assert!(labels.contains(&"computed") && labels.contains(&"hit"), "{labels:?}");
-        assert_eq!(deduped.shape_shots["a"], fresh_shots);
-        assert_eq!(deduped.shape_shots["b"], fresh_shots);
+        let deduped = fracture_layout_opts(&dup, &cfg, &with_threads(1));
+        same_as_fresh(&deduped, "a", "computed");
+        same_as_fresh(&deduped, "b", "hit");
 
         // Persistent tier: cold run stores, warm run loads from disk.
         let dir = tmp_geom_cache("tiers");
@@ -1375,13 +1284,24 @@ mod tests {
             ..LayoutOptions::default()
         };
         let cold = fracture_layout_opts(&base, &cfg, &with_cache);
-        assert_eq!(cold.per_shape[0].cache, "computed");
+        same_as_fresh(&cold, "cell", "computed");
         let warm = fracture_layout_opts(&base, &cfg, &with_cache);
-        assert_eq!(warm.per_shape[0].cache, "disk");
-        assert_eq!(cold.shape_shots["cell"], fresh_shots);
-        assert_eq!(warm.shape_shots["cell"], fresh_shots);
-        assert_eq!(essence(&cold), essence(&warm));
+        same_as_fresh(&warm, "cell", "disk");
         let _ = std::fs::remove_dir_all(&dir);
+
+        // Journal: a resumed run replays the record.
+        let path = tmp_journal("tiers");
+        let _ = std::fs::remove_file(&path);
+        for resume in [false, true] {
+            let checkpoint = CheckpointOptions {
+                path: path.clone(),
+                resume,
+            };
+            let report =
+                fracture_layout_journaled(&base, &cfg, &with_threads(1), &checkpoint).unwrap();
+            same_as_fresh(&report, "cell", if resume { "resumed" } else { "computed" });
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   shapes ([`layout::fracture_layout_journaled`], the core with a
 //!   checkpoint journal, and [`layout::fracture_layout_opts`], the
 //!   wrapper without one), crash-proofed by a per-shape fallback ladder
-//!   (model-based → relaxed retry → baselines) so one pathological shape
-//!   degrades its own report row instead of the run;
+//!   (model-based → retry → degraded tier → baselines) so one
+//!   pathological shape degrades its own report row instead of the run;
 //! * [`writetime`] — a VSB write-time estimator (shot flash time, stage
 //!   settling, dose) in the spirit of the write-time-estimation work the
 //!   paper cites;

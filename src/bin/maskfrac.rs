@@ -3,8 +3,8 @@
 //! ```text
 //! maskfrac fracture <shape.json> [--method NAME] [--svg OUT.svg] [--out SHOTS.json] [--deadline-ms MS] [--refine-threads N] [OBS FLAGS]
 //! maskfrac fracture-layout <layout.txt|.json> [--threads N] [--refine-threads N] [--deadline-ms MS]
-//!                          [--checkpoint J.mfj] [--resume] [--retries N] [--hung-multiple N] [--watchdog-min-samples N]
-//!                          [--geom-cache DIR] [--fault-seed N] [--fault-rate R] [--fault-crash-rate R] [OBS FLAGS]
+//!                          [--checkpoint J.mfj] [--resume] [--geom-cache DIR]
+//!                          [--fault-seed N] [--fault-rate R] [--fault-crash-rate R] [OBS FLAGS]
 //! maskfrac generate-ilt <out.json> [--seed N] [--radius NM]
 //! maskfrac generate-benchmark <out.json> [--shots K] [--seed N]
 //! maskfrac verify <shape.json>
@@ -44,18 +44,15 @@
 //! (`docs/robustness.md`): `--checkpoint <path>` journals every
 //! completed distinct geometry to a durable, checksummed file and
 //! `--resume` replays its valid prefix instead of re-fracturing;
-//! `--retries N` sets the supervised model-retry budget;
-//! `--hung-multiple N` the hung-shape watchdog threshold (`0` off) and
-//! `--watchdog-min-samples N` the computed-shape sample floor the
-//! watchdog needs before it starts flagging (cache hits, persistent
-//! loads and replays never count); `--geom-cache DIR` enables the
-//! persistent, content-addressed geometry-cache tier (`docs/DESIGN.md`)
-//! so a re-run fractures only never-seen canonical cells — hit/miss/
-//! write totals are printed after the run and land in the run report as
-//! `mdp.geomcache.*` counters;
+//! `--geom-cache DIR` enables the persistent, content-addressed
+//! geometry-cache tier (`docs/DESIGN.md`) so a re-run fractures only
+//! never-seen canonical cells — hit/miss/write totals are printed after
+//! the run and land in the run report as `mdp.geomcache.*` counters;
 //! the `--fault-*` flags arm deterministic fault injection (including
 //! `--fault-crash-rate`, which kills the process mid-journal-append —
-//! the crash half of the kill-and-resume test harness).
+//! the crash half of the kill-and-resume test harness). The per-shape
+//! fallback ladder and the hung-shape watchdog are fixed and take no
+//! flags.
 
 use maskfrac::baselines::{
     Conventional, ExhaustiveOptimal, GreedySetCover, MaskFracturer, MatchingPursuit, ProtoEda,
@@ -306,6 +303,7 @@ fn cmd_fracture(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     validate_target(&Region::simple(file.polygon.clone()), &cfg)
         .map_err(|e| format!("shape {:?}: {e}", file.id))?;
     let result = fracturer.fracture(&file.polygon);
+    result.status.tally();
     report(&file.id, method, &result, args, &file)?;
     emit_shape_report(&file.id, method, &result, started, &obs)
 }
@@ -380,26 +378,6 @@ fn report(
     Ok(())
 }
 
-/// Parses the supervised-robustness flags shared semantics: retry
-/// budget, checkpoint journal, and the crash-injection fault plan used
-/// by the kill-and-resume tests.
-fn layout_options_from_flags(
-    args: &[String],
-) -> Result<maskfrac::mdp::LayoutOptions, Box<dyn std::error::Error>> {
-    let mut options = maskfrac::mdp::LayoutOptions::default();
-    if let Some(retries) = parsed_flag::<u32>(args, "--retries")? {
-        options.retry = maskfrac::fracture::RetryPolicy::with_retries(retries);
-    }
-    if let Some(multiple) = parsed_flag::<u32>(args, "--hung-multiple")? {
-        options.hung_shape_multiple = multiple; // 0 disables the watchdog
-    }
-    if let Some(samples) = parsed_flag::<usize>(args, "--watchdog-min-samples")? {
-        options.watchdog_min_samples = samples;
-    }
-    options.geom_cache = flag_value(args, "--geom-cache").map(std::path::PathBuf::from);
-    Ok(options)
-}
-
 /// Arms the fault-injection plan requested by `--fault-rate` /
 /// `--fault-crash-rate` (keyed by `--fault-seed`, default 0). Returns
 /// the scope guard keeping the plan armed, or `None` when no fault flag
@@ -432,9 +410,6 @@ fn cmd_fracture_layout(args: &[String]) -> Result<(), Box<dyn std::error::Error>
         "--deadline-ms",
         "--checkpoint",
         "--resume",
-        "--retries",
-        "--hung-multiple",
-        "--watchdog-min-samples",
         "--geom-cache",
         "--fault-seed",
         "--fault-rate",
@@ -477,8 +452,11 @@ fn cmd_fracture_layout(args: &[String]) -> Result<(), Box<dyn std::error::Error>
         layout.instance_count()
     );
     let cfg = config_from_flags(args)?;
-    let mut options = layout_options_from_flags(args)?;
-    options.threads = threads;
+    let options = maskfrac::mdp::LayoutOptions {
+        threads,
+        geom_cache: flag_value(args, "--geom-cache").map(std::path::PathBuf::from),
+        ..maskfrac::mdp::LayoutOptions::default()
+    };
     let _faults = fault_scope_from_flags(args)?;
     let started = std::time::Instant::now();
     let progress = obs.start_progress(Some(layout.shape_count() as u64));

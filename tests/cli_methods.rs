@@ -1,6 +1,8 @@
 //! `maskfrac fracture` runs every method through one front door: a
 //! valid shape comes back as a shot list the independent verifier
 //! accepts, a degenerate one as a typed error naming the shape.
+//! `maskfrac fracture-layout` takes no supervisor-tuning flags: its
+//! fallback ladder and hung-shape watchdog are fixed.
 
 use maskfrac::geom::{Point, Polygon, Rect};
 use maskfrac::shapes::io::ShapeFile;
@@ -82,4 +84,22 @@ fn every_method_fractures_an_l_and_rejects_a_sliver() {
         assert!(stderr.contains("invalid target"), "{method}: {stderr}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn fracture_layout_rejects_supervisor_tuning_flags() {
+    let layout = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/layouts/smoke.layout");
+    for (flag, value) in [
+        ("--retries", "2"),
+        ("--hung-multiple", "4"),
+        ("--watchdog-min-samples", "8"),
+    ] {
+        let run = maskfrac(&["fracture-layout", layout, flag, value]);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(!run.status.success(), "{flag} was accepted");
+        assert!(
+            stderr.contains(&format!("unknown flag {flag}")),
+            "{flag}: {stderr}"
+        );
+    }
 }
