@@ -69,7 +69,7 @@ fn candidate_pool(
 
 /// Candidates for greedy set cover: rectangles essentially inside the
 /// target (so adding one cannot create meaningful `Poff` violations).
-pub fn cover_candidates(
+pub(crate) fn cover_candidates(
     target: &Polygon,
     cls: &Classification,
     cfg: &FractureConfig,
@@ -81,7 +81,7 @@ pub fn cover_candidates(
 
 /// Candidates for matching pursuit: a looser pool — the correlation score
 /// itself penalizes hanging outside the target.
-pub fn pursuit_candidates(
+pub(crate) fn pursuit_candidates(
     target: &Polygon,
     cls: &Classification,
     cfg: &FractureConfig,
@@ -91,7 +91,8 @@ pub fn pursuit_candidates(
 
 /// Fraction of the rectangle's pixels (by its own area) whose centres are
 /// target pixels.
-pub fn fraction_on_target(cls: &Classification, rect: &Rect) -> f64 {
+#[cfg(test)]
+pub(crate) fn fraction_on_target(cls: &Classification, rect: &Rect) -> f64 {
     if rect.is_degenerate() {
         return 0.0;
     }

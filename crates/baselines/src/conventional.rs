@@ -15,39 +15,17 @@ use maskfrac_geom::partition::partition_slabs;
 use maskfrac_geom::{Bitmap, Polygon};
 use std::time::Instant;
 
-/// Which partitioning algorithm the conventional baseline runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PartitionStrategy {
-    /// Vertically-merged slab decomposition (fast, near-minimal for
-    /// coarse shapes). The default.
-    #[default]
-    Slabs,
-    /// True minimum rectangle partition (Imai–Asano via chord matching,
-    /// [`crate::minpartition::partition_min`]). Falls back to slabs for
-    /// non-rectilinear inputs.
-    Minimum,
-}
-
-/// The conventional partition fracturer.
+/// The conventional partition fracturer: the slab decomposition of the
+/// rasterized target.
 #[derive(Debug, Clone)]
 pub struct Conventional {
     config: FractureConfig,
-    strategy: PartitionStrategy,
 }
 
 impl Conventional {
-    /// Creates the conventional baseline with slab partitioning.
+    /// Creates the conventional baseline.
     pub fn new(config: FractureConfig) -> Self {
-        Conventional {
-            config,
-            strategy: PartitionStrategy::Slabs,
-        }
-    }
-
-    /// Selects the partitioning strategy, returning the modified baseline.
-    pub fn with_strategy(mut self, strategy: PartitionStrategy) -> Self {
-        self.strategy = strategy;
-        self
+        Conventional { config }
     }
 }
 
@@ -66,11 +44,7 @@ impl MaskFracturer for Conventional {
             model.support_radius_px() + 2,
         );
         let bitmap = Bitmap::rasterize(target, cls.frame());
-        let shots = match self.strategy {
-            PartitionStrategy::Minimum => crate::minpartition::partition_min(target)
-                .unwrap_or_else(|| partition_slabs(&bitmap, cls.frame())),
-            PartitionStrategy::Slabs => partition_slabs(&bitmap, cls.frame()),
-        };
+        let shots = partition_slabs(&bitmap, cls.frame());
         let mut map = IntensityMap::new(model, cls.frame());
         for s in &shots {
             map.add_shot(s);
@@ -125,7 +99,7 @@ mod tests {
     }
 
     #[test]
-    fn minimum_strategy_beats_slabs_on_plus() {
+    fn slabs_on_plus_and_comb() {
         let plus = Polygon::new(vec![
             Point::new(10, 0),
             Point::new(25, 0),
@@ -142,14 +116,11 @@ mod tests {
         ])
         .unwrap();
         let cfg = FractureConfig::default();
-        let slabs = Conventional::new(cfg.clone()).fracture(&plus);
-        let minimum = Conventional::new(cfg)
-            .with_strategy(PartitionStrategy::Minimum)
-            .fracture(&plus);
-        assert_eq!(slabs.shot_count(), 3);
-        assert_eq!(minimum.shot_count(), 3);
-        // On the plus both achieve the optimum; on a comb the minimum
-        // strategy strictly wins.
+        // The plus slabs into its optimum: bottom arm, bar, top arm.
+        assert_eq!(
+            Conventional::new(cfg.clone()).fracture(&plus).shot_count(),
+            3
+        );
         let comb = Polygon::new(vec![
             Point::new(0, 0),
             Point::new(70, 0),
@@ -165,16 +136,8 @@ mod tests {
             Point::new(0, 30),
         ])
         .unwrap();
-        let cfg = FractureConfig::default();
-        let slabs = Conventional::new(cfg.clone()).fracture(&comb);
-        let minimum = Conventional::new(cfg)
-            .with_strategy(PartitionStrategy::Minimum)
-            .fracture(&comb);
-        assert!(minimum.shot_count() <= slabs.shot_count());
-        assert_eq!(
-            minimum.shot_count(),
-            crate::minpartition::minimum_rect_count(&comb).unwrap()
-        );
+        // The comb slabs into its base plus one rectangle per tooth.
+        assert_eq!(Conventional::new(cfg).fracture(&comb).shot_count(), 4);
     }
 
     #[test]

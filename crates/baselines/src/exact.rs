@@ -18,16 +18,18 @@ use maskfrac_fracture::{FractureConfig, FractureResult};
 use maskfrac_geom::{Polygon, Rect};
 use std::time::Instant;
 
+/// Search nodes an exhaustive search may visit. A search that stays
+/// within it is provably optimal over the candidate pool.
+const NODE_BUDGET: usize = 2_000_000;
+
 /// Result of an exhaustive search.
 #[derive(Debug, Clone)]
-pub struct ExactOutcome {
+struct ExactOutcome {
     /// The best (fewest-shot) feasible solution found, if any.
-    pub shots: Option<Vec<Rect>>,
-    /// Whether the search finished within budget, making the result
-    /// provably optimal over the candidate pool.
-    pub proven: bool,
-    /// Search nodes visited.
-    pub nodes: usize,
+    shots: Option<Vec<Rect>>,
+    /// Search nodes visited; at most [`NODE_BUDGET`] makes the result
+    /// provably optimal.
+    nodes: usize,
 }
 
 /// The exhaustive-optimal fracturer.
@@ -35,40 +37,28 @@ pub struct ExactOutcome {
 /// # Example
 ///
 /// ```
-/// use maskfrac_baselines::exact::ExhaustiveOptimal;
+/// use maskfrac_baselines::{ExhaustiveOptimal, MaskFracturer};
 /// use maskfrac_fracture::FractureConfig;
 /// use maskfrac_geom::{Polygon, Rect};
 ///
 /// let target = Polygon::from_rect(Rect::new(0, 0, 30, 30).expect("rect"));
-/// let exact = ExhaustiveOptimal::new(FractureConfig::default());
-/// let outcome = exact.search(&target, 2);
-/// assert!(outcome.proven);
-/// assert_eq!(outcome.shots.expect("feasible").len(), 1);
+/// let result = ExhaustiveOptimal::new(FractureConfig::default()).fracture(&target);
+/// assert!(result.summary.is_feasible());
+/// assert_eq!(result.shot_count(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ExhaustiveOptimal {
     config: FractureConfig,
-    /// Node budget; exceeded searches return `proven = false`.
-    node_budget: usize,
 }
 
 impl ExhaustiveOptimal {
-    /// Creates the searcher with a default node budget.
+    /// Creates the searcher.
     pub fn new(config: FractureConfig) -> Self {
-        ExhaustiveOptimal {
-            config,
-            node_budget: 2_000_000,
-        }
-    }
-
-    /// Sets the node budget, returning the modified searcher.
-    pub fn with_node_budget(mut self, budget: usize) -> Self {
-        self.node_budget = budget;
-        self
+        ExhaustiveOptimal { config }
     }
 
     /// Searches for the minimum feasible shot count up to `max_shots`.
-    pub fn search(&self, target: &Polygon, max_shots: usize) -> ExactOutcome {
+    fn search(&self, target: &Polygon, max_shots: usize) -> ExactOutcome {
         let model = self.config.model();
         let cls = Classification::build(
             target,
@@ -83,26 +73,14 @@ impl ExhaustiveOptimal {
             let mut chosen: Vec<Rect> = Vec::with_capacity(k);
             let mut found: Option<Vec<Rect>> = None;
             self.dfs(&cls, &pool, &mut map, &mut chosen, k, &mut nodes, &mut found);
-            if nodes > self.node_budget {
+            if nodes > NODE_BUDGET || found.is_some() {
                 return ExactOutcome {
                     shots: found,
-                    proven: false,
-                    nodes,
-                };
-            }
-            if found.is_some() {
-                return ExactOutcome {
-                    shots: found,
-                    proven: true,
                     nodes,
                 };
             }
         }
-        ExactOutcome {
-            shots: None,
-            proven: nodes <= self.node_budget,
-            nodes,
-        }
+        ExactOutcome { shots: None, nodes }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -116,7 +94,7 @@ impl ExhaustiveOptimal {
         nodes: &mut usize,
         found: &mut Option<Vec<Rect>>,
     ) {
-        if found.is_some() || *nodes > self.node_budget {
+        if found.is_some() || *nodes > NODE_BUDGET {
             return;
         }
         *nodes += 1;
@@ -154,7 +132,7 @@ impl ExhaustiveOptimal {
             self.dfs(cls, pool, map, chosen, k, nodes, found);
             map.remove_shot(r);
             chosen.pop();
-            if found.is_some() || *nodes > self.node_budget {
+            if found.is_some() || *nodes > NODE_BUDGET {
                 return;
             }
         }
@@ -206,7 +184,7 @@ mod tests {
     fn square_optimal_is_one() {
         let target = Polygon::from_rect(Rect::new(0, 0, 40, 40).unwrap());
         let outcome = ExhaustiveOptimal::new(FractureConfig::default()).search(&target, 3);
-        assert!(outcome.proven);
+        assert!(outcome.nodes <= NODE_BUDGET);
         assert_eq!(outcome.shots.unwrap().len(), 1);
     }
 
@@ -222,7 +200,7 @@ mod tests {
         ])
         .unwrap();
         let outcome = ExhaustiveOptimal::new(FractureConfig::default()).search(&target, 3);
-        assert!(outcome.proven);
+        assert!(outcome.nodes <= NODE_BUDGET);
         let shots = outcome.shots.unwrap();
         assert_eq!(shots.len(), 2, "{shots:?}");
     }
@@ -248,7 +226,7 @@ mod tests {
         .unwrap();
         let outcome = ExhaustiveOptimal::new(FractureConfig::default()).search(&target, 1);
         assert!(outcome.shots.is_none());
-        assert!(outcome.proven);
+        assert!(outcome.nodes <= NODE_BUDGET);
     }
 
     #[test]

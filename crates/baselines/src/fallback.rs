@@ -146,11 +146,6 @@ impl FallbackFracturer {
         FallbackFracturer { config, rungs }
     }
 
-    /// The configuration the ladder runs with.
-    pub fn config(&self) -> &FractureConfig {
-        &self.config
-    }
-
     /// Fractures one shape, descending the ladder until a rung delivers.
     /// Panics in any rung are caught and recorded, not propagated.
     pub fn fracture(&self, target: &Polygon) -> FallbackOutcome {

@@ -35,19 +35,17 @@
 
 #![warn(missing_docs)]
 
-pub mod candidates;
+mod candidates;
 pub mod conventional;
 pub mod exact;
 pub mod fallback;
-pub mod minpartition;
 pub mod gsc;
 pub mod mp;
 pub mod proto;
 
-pub use conventional::{Conventional, PartitionStrategy};
+pub use conventional::Conventional;
 pub use exact::ExhaustiveOptimal;
 pub use fallback::{FallbackFracturer, FallbackOutcome};
-pub use minpartition::{minimum_rect_count, partition_min};
 pub use gsc::GreedySetCover;
 pub use mp::MatchingPursuit;
 pub use proto::ProtoEda;
@@ -58,7 +56,7 @@ use maskfrac_geom::Polygon;
 /// Status tag for a baseline run: feasible is `Ok`, anything else is
 /// `Degraded` (every baseline returns its best-effort shot list rather
 /// than aborting).
-pub fn status_of(summary: &maskfrac_ebeam::FailureSummary) -> FractureStatus {
+pub(crate) fn status_of(summary: &maskfrac_ebeam::FailureSummary) -> FractureStatus {
     if summary.is_feasible() {
         FractureStatus::Ok
     } else {

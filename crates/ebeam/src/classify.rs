@@ -29,7 +29,7 @@ impl PixelClass {
     /// loops exploit (see
     /// [`crate::violations::cost_delta_for_strip`]).
     #[inline]
-    pub fn cost_sign(self) -> f64 {
+    pub(crate) fn cost_sign(self) -> f64 {
         match self {
             PixelClass::On => -1.0,
             PixelClass::Off => 1.0,
@@ -59,9 +59,6 @@ pub struct Classification {
     frame: Frame,
     classes: Vec<PixelClass>,
     target: Bitmap,
-    on_count: usize,
-    off_count: usize,
-    band_count: usize,
 }
 
 impl Classification {
@@ -112,17 +109,13 @@ impl Classification {
 
         classes.clear();
         classes.reserve(frame.len());
-        let (mut on_count, mut off_count, mut band_count) = (0, 0, 0);
         for iy in 0..frame.height() {
             for ix in 0..frame.width() {
                 let class = if band.get(ix, iy) {
-                    band_count += 1;
                     PixelClass::Band
                 } else if inside.get(ix, iy) {
-                    on_count += 1;
                     PixelClass::On
                 } else {
-                    off_count += 1;
                     PixelClass::Off
                 };
                 classes.push(class);
@@ -132,9 +125,6 @@ impl Classification {
             frame,
             classes,
             target: inside,
-            on_count,
-            off_count,
-            band_count,
         }
     }
 
@@ -160,12 +150,6 @@ impl Classification {
         self.classes[self.frame.index(ix, iy)]
     }
 
-    /// Class by linear pixel index.
-    #[inline]
-    pub fn class_at(&self, index: usize) -> PixelClass {
-        self.classes[index]
-    }
-
     /// Contiguous classes of row `iy` restricted to columns `xs`; the
     /// slice-at-once counterpart of [`Classification::class`] for
     /// window-scan inner loops (see [`crate::IntensityMap::row`]).
@@ -174,7 +158,7 @@ impl Classification {
     ///
     /// Panics if the row or column range is out of frame.
     #[inline]
-    pub fn class_row(&self, iy: usize, xs: std::ops::Range<usize>) -> &[PixelClass] {
+    pub(crate) fn class_row(&self, iy: usize, xs: std::ops::Range<usize>) -> &[PixelClass] {
         let base = self.frame.index(0, iy);
         &self.classes[base + xs.start..base + xs.end]
     }
@@ -186,32 +170,10 @@ impl Classification {
         &self.target
     }
 
-    /// Number of `Pon` pixels.
-    #[inline]
-    pub fn on_count(&self) -> usize {
-        self.on_count
-    }
-
-    /// Number of `Poff` pixels.
-    #[inline]
-    pub fn off_count(&self) -> usize {
-        self.off_count
-    }
-
-    /// Number of band (`Px`) pixels.
-    #[inline]
-    pub fn band_count(&self) -> usize {
-        self.band_count
-    }
-
-    /// Iterator over `(ix, iy)` of all `Pon` pixels.
-    pub fn on_pixels(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let f = self.frame;
-        self.classes
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c == PixelClass::On)
-            .map(move |(i, _)| f.coords(i))
+    /// Number of pixels of `class`.
+    #[cfg(test)]
+    pub(crate) fn count(&self, class: PixelClass) -> usize {
+        self.classes.iter().filter(|&&c| c == class).count()
     }
 }
 
@@ -228,11 +190,10 @@ mod tests {
     #[test]
     fn counts_are_exhaustive() {
         let c = square_classification();
-        assert_eq!(
-            c.on_count() + c.off_count() + c.band_count(),
-            c.frame().len()
-        );
-        assert!(c.on_count() > 0 && c.off_count() > 0 && c.band_count() > 0);
+        let [on, off, band] =
+            [PixelClass::On, PixelClass::Off, PixelClass::Band].map(|k| c.count(k));
+        assert_eq!(on + off + band, c.frame().len());
+        assert!(on > 0 && off > 0 && band > 0);
     }
 
     #[test]
@@ -272,17 +233,8 @@ mod tests {
     fn zero_gamma_has_no_band() {
         let target = Polygon::from_rect(Rect::new(0, 0, 20, 20).unwrap());
         let c = Classification::build(&target, 0.0, 10);
-        assert_eq!(c.band_count(), 0);
-        assert_eq!(c.on_count(), 400);
-    }
-
-    #[test]
-    fn on_pixels_iterator_agrees_with_count() {
-        let c = square_classification();
-        assert_eq!(c.on_pixels().count(), c.on_count());
-        for (ix, iy) in c.on_pixels().take(10) {
-            assert_eq!(c.class(ix, iy), PixelClass::On);
-        }
+        assert_eq!(c.count(PixelClass::Band), 0);
+        assert_eq!(c.count(PixelClass::On), 400);
     }
 
     #[test]

@@ -14,17 +14,7 @@
 /// The error function `erf(x) = 2/√π ∫₀ˣ e^(−t²) dt`.
 ///
 /// Absolute error is below `1.5e-7` over the whole real line.
-///
-/// # Example
-///
-/// ```
-/// use maskfrac_ebeam::erf::erf;
-///
-/// assert!((erf(0.0)).abs() < 1e-7);
-/// assert!((erf(1.0) - 0.8427007929).abs() < 2e-7);
-/// assert!((erf(-1.0) + 0.8427007929).abs() < 2e-7);
-/// ```
-pub fn erf(x: f64) -> f64 {
+pub(crate) fn erf(x: f64) -> f64 {
     // Abramowitz & Stegun 7.1.26 on |x|, odd extension.
     const A1: f64 = 0.254829592;
     const A2: f64 = -0.284496736;
@@ -40,18 +30,13 @@ pub fn erf(x: f64) -> f64 {
     sign * y
 }
 
-/// The complementary error function `erfc(x) = 1 − erf(x)`.
-pub fn erfc(x: f64) -> f64 {
-    1.0 - erf(x)
-}
-
 /// Inverse error function, accurate to about `1e-6` via Newton refinement
 /// of an initial rational estimate.
 ///
 /// # Panics
 ///
 /// Panics if `y` is outside `(-1, 1)`.
-pub fn erf_inv(y: f64) -> f64 {
+pub(crate) fn erf_inv(y: f64) -> f64 {
     assert!(y > -1.0 && y < 1.0, "erf_inv domain is (-1, 1)");
     if y == 0.0 {
         return 0.0;
@@ -106,13 +91,6 @@ mod tests {
     fn odd_symmetry() {
         for &(x, want) in TABLE {
             assert!((erf(-x) + want).abs() < 1.5e-7);
-        }
-    }
-
-    #[test]
-    fn erfc_complements() {
-        for x in [-2.0, -0.5, 0.0, 0.7, 3.0] {
-            assert!((erf(x) + erfc(x) - 1.0).abs() < 1e-12);
         }
     }
 

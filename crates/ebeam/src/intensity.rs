@@ -22,7 +22,7 @@
 //! Every kernel evaluation in the workspace goes through one of two
 //! paths:
 //!
-//! 1. **Interpolated LUT** ([`ExposureModel::edge_factor`],
+//! 1. **Interpolated LUT** (`ExposureModel::edge_factor`,
 //!    [`ExposureModel::shot_intensity`]) — the hot path, mirroring the
 //!    paper's "lookup table based method": `Φ(t) = ½(1 + erf(t))`
 //!    tabulated at 512 samples per unit of `t = d/σ` over `±4σ`, linearly
@@ -144,12 +144,6 @@ impl ExposureModel {
         self.rho
     }
 
-    /// The proximity kernel.
-    #[inline]
-    pub fn kernel(&self) -> &ProximityKernel {
-        &self.kernel
-    }
-
     /// Radius (nm) beyond which a shot's intensity is treated as zero.
     ///
     /// This is the truncation radius `3σ` of the paper's kernel (Eq. 2),
@@ -189,7 +183,7 @@ impl ExposureModel {
     /// through the shared interpolated lookup table. This is the exactness
     /// reference for the bit-parity harness.
     #[inline]
-    pub fn edge_factor(&self, a: f64, b: f64, t: f64) -> f64 {
+    pub(crate) fn edge_factor(&self, a: f64, b: f64, t: f64) -> f64 {
         let s = self.sigma();
         let lut = edge_lut();
         lut.phi((b - t) / s) - lut.phi((a - t) / s)
@@ -437,14 +431,14 @@ mod tests {
         let m = model();
         // The locality constant is exactly 3σ, shared by model and kernel.
         assert_eq!(m.support_radius(), 3.0 * m.sigma());
-        assert_eq!(m.support_radius(), m.kernel().support_radius());
+        assert_eq!(m.support_radius(), m.kernel.support_radius());
         // The truncated kernel is identically zero beyond it...
-        assert_eq!(m.kernel().value(m.support_radius() + 1e-9, 0.0), 0.0);
-        assert!(m.kernel().value(m.support_radius() - 1e-9, 0.0) > 0.0);
+        assert_eq!(m.kernel.value(m.support_radius() + 1e-9, 0.0), 0.0);
+        assert!(m.kernel.value(m.support_radius() - 1e-9, 0.0) > 0.0);
         // ...while the closed form's straight-edge profile leaves exactly
         // ½·erfc(3) ≈ 1.1e-5 there (NOT below 1e-6, as a doc comment once
         // claimed): the profile only crosses 1e-6 near 3.37σ.
-        let edge = 0.5 * crate::erf::erfc(3.0);
+        let edge = 0.5 * (1.0 - crate::erf::erf(3.0));
         assert!((1.0e-5..1.2e-5).contains(&edge), "residue at 3σ: {edge}");
         let v3 = m.shot_intensity_exact(&big_shot(), 200.0 + m.support_radius(), 0.0);
         assert!((v3 - edge).abs() < 1e-7, "profile at 3σ: {v3} vs {edge}");
@@ -452,7 +446,7 @@ mod tests {
         let v337 = m.shot_intensity_exact(&big_shot(), 200.0 + 3.37 * m.sigma(), 0.0);
         assert!(v337 < 1.1e-6, "profile decays through 1e-6 near 3.37σ: {v337}");
         // The tables saturate at 4σ, where the residue is below 2e-8.
-        let v4 = 0.5 * crate::erf::erfc(4.0);
+        let v4 = 0.5 * (1.0 - crate::erf::erf(4.0));
         assert!(v4 < 2e-8, "residue at 4σ: {v4}");
     }
 

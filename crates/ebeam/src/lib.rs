@@ -14,7 +14,8 @@
 //! This crate provides that model and everything the fracturing algorithms
 //! need on top of it:
 //!
-//! * [`erf`] — scalar error function (no external math dependency);
+//! * `erf` (crate-internal) — scalar error function (no external math
+//!   dependency);
 //! * [`kernel`] — the truncated Gaussian PSF;
 //! * [`intensity`] — closed-form separable shot intensity, a lookup-table
 //!   fast path, and a slow truncated-kernel reference integrator;
@@ -43,7 +44,7 @@
 
 pub mod classify;
 pub mod contour;
-pub mod erf;
+mod erf;
 pub mod intensity;
 pub mod kernel;
 pub mod lth;

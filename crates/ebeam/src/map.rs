@@ -11,12 +11,12 @@
 //! Every update is *separable*: the shot's 2-D intensity over the window
 //! is the outer product of two 1-D edge-profile vectors (`fx` per column,
 //! `fy` per row), so a `w×h` window costs `w + h` profile evaluations —
-//! never `w·h`. Profiles come from [`ExposureModel::edge_factor`] through
+//! never `w·h`. Profiles come from `ExposureModel::edge_factor` through
 //! the interpolated edge-profile LUT (see [`crate::intensity`]), and the
 //! multiply-add composition loops are deterministic and sequential per
-//! row: `add_shot` / `remove_shot` / [`IntensityMap::replace_shot`] and
-//! the row-visiting kernels [`IntensityMap::apply_shot_rows`] /
-//! [`IntensityMap::replace_shot_rows`] all produce byte-identical grids for
+//! row: `add_shot` / `remove_shot` and
+//! the row-visiting kernels `IntensityMap::apply_shot_rows` /
+//! `IntensityMap::replace_shot_rows` all produce byte-identical grids for
 //! the same mutation sequence, which is what the refinement parity harness
 //! pins.
 
@@ -76,7 +76,7 @@ pub struct IntensityMap {
     values: Vec<f64>,
     // Grow-only scratch for per-application edge factors, reused across
     // calls so the steady-state hot path performs no heap allocation.
-    // Two pairs: `replace_shot` needs both rects' factors live at once.
+    // Two pairs: `replace_shot_rows` needs both rects' factors live at once.
     fx: Vec<f64>,
     fy: Vec<f64>,
     fx2: Vec<f64>,
@@ -125,7 +125,7 @@ impl IntensityMap {
 
     /// The pixel frame.
     #[inline]
-    pub fn frame(&self) -> Frame {
+    pub(crate) fn frame(&self) -> Frame {
         self.frame
     }
 
@@ -149,7 +149,7 @@ impl IntensityMap {
     ///
     /// Panics if the row or column range is out of frame.
     #[inline]
-    pub fn row(&self, iy: usize, xs: std::ops::Range<usize>) -> &[f64] {
+    pub(crate) fn row(&self, iy: usize, xs: std::ops::Range<usize>) -> &[f64] {
         let base = self.frame.index(0, iy);
         &self.values[base + xs.start..base + xs.end]
     }
@@ -165,16 +165,10 @@ impl IntensityMap {
     }
 
     /// Replaces `old` with `new` (e.g. after an edge move) in a single
-    /// pass over the union of the two affected windows: bit-exact with
-    /// `remove_shot` + `add_shot` (see
-    /// [`replace_shot_rows`](Self::replace_shot_rows)).
-    pub fn replace_shot(&mut self, old: &Rect, new: &Rect) {
-        self.replace_shot_rows(old, new, |_, _, _, _| {});
-    }
-
-    /// [`replace_shot`](Self::replace_shot), handing each updated row of
-    /// the union window to `visit` as `(iy, x0, old_row, new_row)`: the
-    /// row's values before and after the update, starting at column `x0`.
+    /// pass over the union of the two affected windows, bit-exact with
+    /// `remove_shot` + `add_shot`, handing each updated row of the union
+    /// window to `visit` as `(iy, x0, old_row, new_row)`: the row's
+    /// values before and after the update, starting at column `x0`.
     ///
     /// For the common small-edge-move case the windows almost coincide, so
     /// fusing subtract-and-add into one traversal halves the memory walked
@@ -184,7 +178,7 @@ impl IntensityMap {
     /// own rect's affected window. A row that both windows cross is
     /// reported over the hull of their column ranges; columns in neither
     /// window come back unchanged.
-    pub fn replace_shot_rows<F: FnMut(usize, usize, &[f64], &[f64])>(
+    pub(crate) fn replace_shot_rows<F: FnMut(usize, usize, &[f64], &[f64])>(
         &mut self,
         old: &Rect,
         new: &Rect,
@@ -239,7 +233,10 @@ impl IntensityMap {
     }
 
     /// Pixel-index window over which `shot`'s intensity is non-negligible.
-    pub fn affected_window(&self, shot: &Rect) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
+    pub(crate) fn affected_window(
+        &self,
+        shot: &Rect,
+    ) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
         let r = self.model.support_radius_px() as f64;
         let xs = self
             .frame
@@ -330,7 +327,7 @@ impl IntensityMap {
     /// [`add_shot`](Self::add_shot) / [`remove_shot`](Self::remove_shot);
     /// the old row is copied into grow-only scratch first, so the call
     /// allocates nothing in steady state.
-    pub fn apply_shot_rows<F: FnMut(usize, usize, &[f64], &[f64])>(
+    pub(crate) fn apply_shot_rows<F: FnMut(usize, usize, &[f64], &[f64])>(
         &mut self,
         shot: &Rect,
         sign: f64,
@@ -410,8 +407,8 @@ mod tests {
         }
         // Jiggle: remove/re-add with a moved edge, then undo.
         let moved = shots[1].with_edge(maskfrac_geom::rect::Edge::Right, 70).unwrap();
-        m.replace_shot(&shots[1], &moved);
-        m.replace_shot(&moved, &shots[1]);
+        m.replace_shot_rows(&shots[1], &moved, |_, _, _, _| {});
+        m.replace_shot_rows(&moved, &shots[1], |_, _, _, _| {});
 
         let mut fresh = map();
         fresh.rebuild(shots.iter());

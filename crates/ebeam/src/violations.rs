@@ -43,7 +43,7 @@ impl FailureSummary {
 
 /// Cost contribution of one pixel: `|I − ρ|` if the pixel fails, else 0.
 #[inline]
-pub fn pixel_cost(class: PixelClass, intensity: f64, rho: f64) -> f64 {
+pub(crate) fn pixel_cost(class: PixelClass, intensity: f64, rho: f64) -> f64 {
     match class {
         PixelClass::On if intensity < rho => rho - intensity,
         PixelClass::Off if intensity >= rho => intensity - rho,
@@ -53,7 +53,7 @@ pub fn pixel_cost(class: PixelClass, intensity: f64, rho: f64) -> f64 {
 
 /// Whether a pixel of the given class fails at the given intensity.
 #[inline]
-pub fn pixel_fails(class: PixelClass, intensity: f64, rho: f64) -> bool {
+pub(crate) fn pixel_fails(class: PixelClass, intensity: f64, rho: f64) -> bool {
     match class {
         PixelClass::On => intensity < rho,
         PixelClass::Off => intensity >= rho,
@@ -171,7 +171,7 @@ pub struct StripScore {
 /// kernel support that is almost all wasted work, because one accepted
 /// edge move only changes intensities inside the moved strip's support
 /// window. The tracker rides the row kernels
-/// [`IntensityMap::apply_shot_rows`] / [`IntensityMap::replace_shot_rows`]
+/// `IntensityMap::apply_shot_rows` / `IntensityMap::replace_shot_rows`
 /// instead: every mutation routed through [`apply`](Self::apply) or
 /// [`replace`](Self::replace) updates the failing `Pon`/`Poff` counts from
 /// the exact per-pixel transitions the map performs, visiting only the
@@ -268,7 +268,7 @@ impl ViolationTracker {
         });
     }
 
-    /// Replaces `old` with `new` in the map ([`IntensityMap::replace_shot`])
+    /// Replaces `old` with `new` in the map (`IntensityMap::replace_shot_rows`)
     /// and folds each pixel's before/after pair into the books in one
     /// pass.
     ///
@@ -489,7 +489,7 @@ impl ViolationTracker {
     /// a shrink strip only those of failing `Poff` pixels; every other
     /// pixel in the window adds a term `>= 0`. The check therefore asks
     /// whether any tile overlapping the strip's
-    /// [`affected_window`](IntensityMap::affected_window) holds a failing
+    /// `affected_window` holds a failing
     /// pixel of the one class the move can help.
     pub fn may_improve(&self, map: &IntensityMap, strip: &Rect, sign: f64) -> bool {
         let (lane, fails) = if sign > 0.0 {
@@ -706,9 +706,10 @@ mod tests {
     fn empty_solution_fails_everywhere_inside() {
         let (cls, map) = setup(&[]);
         let s = evaluate(&cls, &map);
-        assert_eq!(s.on_fails, cls.on_count());
+        let on = cls.count(PixelClass::On);
+        assert_eq!(s.on_fails, on);
         assert_eq!(s.off_fails, 0);
-        assert!((s.cost - 0.5 * cls.on_count() as f64).abs() < 1e-9);
+        assert!((s.cost - 0.5 * on as f64).abs() < 1e-9);
         assert!(!s.is_feasible());
     }
 
@@ -968,7 +969,7 @@ mod tests {
                             continue;
                         };
                         let (lo, hi) = (s.edge(edge).min(at), s.edge(edge).max(at));
-                        let strip = if edge.is_vertical() {
+                        let strip = if matches!(edge, Edge::Left | Edge::Right) {
                             Rect::new(lo, s.y0(), hi, s.y1())
                         } else {
                             Rect::new(s.x0(), lo, s.x1(), hi)

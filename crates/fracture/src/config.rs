@@ -105,7 +105,7 @@ impl FractureConfig {
 
     /// Resolves `Lth`: the override if set, otherwise the model-derived
     /// value (see [`maskfrac_ebeam::lth::compute_lth`]).
-    pub fn resolve_lth(&self) -> f64 {
+    pub(crate) fn resolve_lth(&self) -> f64 {
         self.lth_override
             .unwrap_or_else(|| maskfrac_ebeam::lth::compute_lth(&self.model(), self.gamma))
     }

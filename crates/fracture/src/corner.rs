@@ -40,23 +40,15 @@ pub enum CornerType {
 }
 
 impl CornerType {
-    /// All four corner types.
-    pub const ALL: [CornerType; 4] = [
-        CornerType::BottomLeft,
-        CornerType::BottomRight,
-        CornerType::TopLeft,
-        CornerType::TopRight,
-    ];
-
     /// Whether this corner lies on the left edge of its shot.
     #[inline]
-    pub fn is_left(&self) -> bool {
+    pub(crate) fn is_left(&self) -> bool {
         matches!(self, CornerType::BottomLeft | CornerType::TopLeft)
     }
 
     /// Whether this corner lies on the bottom edge of its shot.
     #[inline]
-    pub fn is_bottom(&self) -> bool {
+    pub(crate) fn is_bottom(&self) -> bool {
         matches!(self, CornerType::BottomLeft | CornerType::BottomRight)
     }
 
@@ -69,17 +61,6 @@ impl CornerType {
             (false, true) => CornerType::TopLeft,
             (false, false) => CornerType::BottomLeft,
         }
-    }
-
-    /// Whether `self` and `other` are diagonally opposite (BL↔TR, BR↔TL).
-    pub fn is_diagonal_pair(&self, other: CornerType) -> bool {
-        matches!(
-            (self, other),
-            (CornerType::BottomLeft, CornerType::TopRight)
-                | (CornerType::TopRight, CornerType::BottomLeft)
-                | (CornerType::BottomRight, CornerType::TopLeft)
-                | (CornerType::TopLeft, CornerType::BottomRight)
-        )
     }
 }
 
@@ -135,7 +116,7 @@ pub fn extract_shot_corners(
 /// # Panics
 ///
 /// Panics under the same conditions as [`extract_shot_corners`].
-pub fn extract_shot_corners_from_ring(
+pub(crate) fn extract_shot_corners_from_ring(
     ring: &[Point],
     lth: f64,
     axis_shift: f64,
@@ -160,7 +141,7 @@ pub fn extract_shot_corners_from_ring(
 /// [`crate::FractureError::InvalidOptions`] when `lth` is not strictly
 /// positive or a shift is negative.
 #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 0)` also rejects NaN
-pub fn try_extract_shot_corners_from_ring(
+pub(crate) fn try_extract_shot_corners_from_ring(
     ring: &[Point],
     lth: f64,
     axis_shift: f64,
@@ -367,7 +348,12 @@ mod tests {
     fn square_produces_four_merged_corners() {
         let corners = extract(&square(60));
         assert_eq!(corners.len(), 4, "vertex merge collapses edge endpoints");
-        for kind in CornerType::ALL {
+        for kind in [
+            CornerType::BottomLeft,
+            CornerType::BottomRight,
+            CornerType::TopLeft,
+            CornerType::TopRight,
+        ] {
             assert_eq!(
                 corners.iter().filter(|c| c.kind == kind).count(),
                 1,
@@ -462,10 +448,6 @@ mod tests {
         assert!(CornerType::BottomLeft.is_bottom());
         assert!(!CornerType::TopRight.is_left());
         assert!(!CornerType::TopRight.is_bottom());
-        assert!(CornerType::BottomLeft.is_diagonal_pair(CornerType::TopRight));
-        assert!(CornerType::TopLeft.is_diagonal_pair(CornerType::BottomRight));
-        assert!(!CornerType::BottomLeft.is_diagonal_pair(CornerType::TopLeft));
-        assert!(!CornerType::BottomLeft.is_diagonal_pair(CornerType::BottomLeft));
     }
 
     #[test]

@@ -105,8 +105,7 @@ pub enum FractureError {
     },
     /// The target shape was rejected by the validation front-door.
     InvalidTarget(TargetDefect),
-    /// Auxiliary options (e.g. the `lth` of
-    /// [`crate::corner::try_extract_shot_corners_from_ring`]) are
+    /// Auxiliary options (e.g. the `lth` of corner extraction) are
     /// inconsistent.
     InvalidOptions {
         /// What is inconsistent.
@@ -153,22 +152,6 @@ impl fmt::Display for FractureError {
 
 impl std::error::Error for FractureError {}
 
-impl FractureError {
-    /// Builds an [`FractureError::Internal`] from a payload captured by
-    /// `std::panic::catch_unwind` (payloads are `&str` or `String` for
-    /// every `panic!`/`assert!` in this workspace).
-    pub fn from_panic(stage: Stage, payload: &(dyn std::any::Any + Send)) -> Self {
-        let message = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        };
-        FractureError::Internal { stage, message }
-    }
-}
-
 /// Per-shape outcome tag.
 ///
 /// Ordered by decreasing quality: `Ok < Degraded < Fallback < Failed`
@@ -194,12 +177,6 @@ impl FractureStatus {
     #[inline]
     pub fn is_usable(&self) -> bool {
         !matches!(self, FractureStatus::Failed)
-    }
-
-    /// Whether the result needs operator attention (anything but `Ok`).
-    #[inline]
-    pub fn needs_review(&self) -> bool {
-        !matches!(self, FractureStatus::Ok)
     }
 
     /// Stable lower-case label for reports and CLI output.
@@ -255,8 +232,6 @@ mod tests {
         assert!(FractureStatus::Degraded.is_usable());
         assert!(FractureStatus::Fallback.is_usable());
         assert!(!FractureStatus::Failed.is_usable());
-        assert!(!FractureStatus::Ok.needs_review());
-        assert!(FractureStatus::Degraded.needs_review());
     }
 
     #[test]
@@ -269,19 +244,5 @@ mod tests {
         let e = FractureError::Internal { stage: Stage::Refine, message: "boom".into() };
         assert!(e.to_string().contains("refine"));
         assert!(e.to_string().contains("boom"));
-    }
-
-    #[test]
-    fn panic_payload_is_captured() {
-        let caught =
-            std::panic::catch_unwind(|| panic!("synthetic failure {}", 7)).unwrap_err();
-        let e = FractureError::from_panic(Stage::Approx, caught.as_ref());
-        match &e {
-            FractureError::Internal { stage, message } => {
-                assert_eq!(*stage, Stage::Approx);
-                assert!(message.contains("synthetic failure 7"));
-            }
-            other => panic!("unexpected variant {other:?}"),
-        }
     }
 }

@@ -180,9 +180,16 @@ pub fn arm_scoped(plan: FaultPlan) -> FaultScope {
     FaultScope { _serial: serial }
 }
 
-/// Whether a plan is currently armed.
-pub fn armed() -> bool {
-    PLAN.lock().unwrap_or_else(|e| e.into_inner()).is_some()
+/// Whether the armed plan can change a fracturing result: a nonzero
+/// panic, timeout or infeasible rate. Crash probes only end the process,
+/// so under a crash-only plan (or none) every result is still a pure
+/// function of geometry and config, and safe to persist.
+pub fn alters_results() -> bool {
+    cfg!(feature = "fault-injection")
+        && PLAN
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .is_some_and(|p| p.panic_rate > 0.0 || p.timeout_rate > 0.0 || p.infeasible_rate > 0.0)
 }
 
 /// Probe the harness at a named stage. Returns the fault to act out, if
@@ -244,10 +251,14 @@ mod tests {
         assert_eq!(fire("scope-test", 1), None);
         {
             let _scope = arm_scoped(FaultPlan::uniform(1, 1.0));
-            assert!(armed());
+            assert!(alters_results());
             assert!(fire("scope-test", 1).is_some());
         }
-        assert!(!armed());
+        assert!(!alters_results());
+        {
+            let _scope = arm_scoped(FaultPlan::only(1, Fault::CrashPoint, 1.0));
+            assert!(!alters_results(), "crash probes leave results pure");
+        }
         assert_eq!(fire("scope-test", 1), None);
     }
 

@@ -127,11 +127,6 @@ impl ModelBasedFracturer {
         Classification::build(target, self.config.gamma, self.model.support_radius_px() + 2)
     }
 
-    /// Region variant of [`classify`](Self::classify).
-    pub fn classify_region(&self, target: &Region) -> Classification {
-        Classification::build_region(target, self.config.gamma, self.model.support_radius_px() + 2)
-    }
-
     /// Fractures one target shape with a fresh [`FractureScratch`].
     ///
     /// A convenience wrapper over the same pipeline as

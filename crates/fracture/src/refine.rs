@@ -40,7 +40,7 @@ pub const MAX_REFINE_THREADS: usize = 64;
 /// Resolves [`FractureConfig::refine_threads`]: `0` auto-detects from
 /// `std::thread::available_parallelism`, and the result is clamped to
 /// `1..=`[`MAX_REFINE_THREADS`].
-pub fn resolve_refine_threads(cfg: &FractureConfig) -> usize {
+pub(crate) fn resolve_refine_threads(cfg: &FractureConfig) -> usize {
     let requested = if cfg.refine_threads == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
@@ -100,7 +100,7 @@ pub fn refine(
 ///
 /// Counts why the run stopped in exactly one of
 /// `fracture.refine.stop.{converged,deadline,plateau,iteration_cap}`.
-pub fn refine_until_with(
+pub(crate) fn refine_until_with(
     cls: &Classification,
     model: &ExposureModel,
     cfg: &FractureConfig,
@@ -336,7 +336,7 @@ pub fn polish_edges(
 ///
 /// Runs against an absolute `deadline` (the sweep stops between
 /// candidate removals once it passes) and an explicit
-/// [`FractureScratch`] arena (see [`refine_until_with`]): the screening
+/// [`FractureScratch`] arena (see `refine_until_with`): the screening
 /// map and every bounded refinement run inside it recycle the same
 /// buffers.
 ///

@@ -1,46 +1,8 @@
-//! Serializable fracturing reports and independent solution verification.
+//! Independent solution verification.
 
 use crate::config::FractureConfig;
-use crate::pipeline::FractureResult;
 use maskfrac_ebeam::{evaluate, Classification, FailureSummary, IntensityMap};
 use maskfrac_geom::{Polygon, Rect};
-
-/// One row of an experiment table: a method's result on one shape.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FractureReport {
-    /// Benchmark instance id (e.g. `"Clip-3"`).
-    pub id: String,
-    /// Method name (e.g. `"ours"`, `"gsc"`, `"mp"`, `"proto-eda"`).
-    pub method: String,
-    /// Shot count.
-    pub shot_count: usize,
-    /// Failing pixels of the returned solution.
-    pub fail_pixels: usize,
-    /// Final `cost_ref`.
-    pub cost: f64,
-    /// Wall-clock runtime in seconds.
-    pub runtime_s: f64,
-    /// Refinement iterations (0 for methods without refinement).
-    pub iterations: usize,
-    /// Outcome tag of the run ([`crate::FractureStatus`]).
-    pub status: crate::FractureStatus,
-}
-
-impl FractureReport {
-    /// Builds a report row from a fracturing result.
-    pub fn from_result(id: &str, method: &str, result: &FractureResult) -> Self {
-        FractureReport {
-            id: id.to_owned(),
-            method: method.to_owned(),
-            shot_count: result.shot_count(),
-            fail_pixels: result.summary.fail_count(),
-            cost: result.summary.cost,
-            runtime_s: result.runtime.as_secs_f64(),
-            iterations: result.iterations,
-            status: result.status,
-        }
-    }
-}
 
 /// Re-simulates a shot list from scratch against a target and returns its
 /// violation summary.
@@ -76,30 +38,6 @@ pub fn verify_shots(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
-
-    #[test]
-    fn report_from_result() {
-        let result = FractureResult {
-            shots: vec![Rect::new(0, 0, 10, 10).unwrap()],
-            summary: FailureSummary {
-                on_fails: 0,
-                off_fails: 2,
-                cost: 0.25,
-            },
-            iterations: 17,
-            approx_shot_count: 3,
-            runtime: Duration::from_millis(250),
-            status: crate::FractureStatus::Degraded,
-            deadline_hit: false,
-        };
-        let r = FractureReport::from_result("Clip-1", "ours", &result);
-        assert_eq!(r.shot_count, 1);
-        assert_eq!(r.fail_pixels, 2);
-        assert_eq!(r.iterations, 17);
-        assert_eq!(r.status, crate::FractureStatus::Degraded);
-        assert!((r.runtime_s - 0.25).abs() < 1e-9);
-    }
 
     #[test]
     fn verify_detects_infeasible_solution() {

@@ -1,13 +1,11 @@
-//! Input validation and repair front-door.
+//! Input validation front-door.
 //!
 //! Mask layouts arrive from external tools and are not trustworthy:
 //! sub-resolution slivers, self-touching rings and clip-sized outlines
 //! all occur in practice. Feeding them to the pipeline used to produce
 //! panics or pathological runtimes deep inside refinement; the
 //! front-door rejects them up front with a typed
-//! [`FractureError::InvalidTarget`], and [`repair_target`] additionally
-//! fixes what can be fixed (dropping sub-resolution holes) before
-//! validating the rest.
+//! [`FractureError::InvalidTarget`].
 
 use crate::config::FractureConfig;
 use crate::error::{FractureError, TargetDefect};
@@ -61,64 +59,6 @@ pub fn validate_target(target: &Region, cfg: &FractureConfig) -> Result<(), Frac
         }
     }
     Ok(())
-}
-
-/// A repaired target plus a log of what was changed.
-#[derive(Debug, Clone)]
-pub struct RepairedTarget {
-    /// The (possibly rebuilt) region to fracture.
-    pub target: Region,
-    /// Human-readable description of each repair applied; empty when the
-    /// input was already clean.
-    pub repairs: Vec<String>,
-}
-
-/// Repairs what is repairable, then validates.
-///
-/// Currently one repair is applied: holes whose bounding box is thinner
-/// than `Lmin / 2` are dropped — they are below the writing resolution,
-/// and the don't-care band absorbs the residual error. Defects of the
-/// outer ring are never repaired.
-///
-/// # Errors
-///
-/// Whatever [`validate_target`] reports on the repaired region.
-pub fn repair_target(
-    target: &Region,
-    cfg: &FractureConfig,
-) -> Result<RepairedTarget, FractureError> {
-    let mut repairs = Vec::new();
-    let kept: Vec<_> = target
-        .holes()
-        .iter()
-        .filter(|hole| {
-            let keep = hole.bbox().min_side() >= cfg.min_shot_size / 2;
-            if !keep {
-                repairs.push(format!(
-                    "dropped sub-resolution hole ({} nm < Lmin/2 = {} nm)",
-                    hole.bbox().min_side(),
-                    cfg.min_shot_size / 2
-                ));
-            }
-            keep
-        })
-        .cloned()
-        .collect();
-    let repaired = if repairs.is_empty() {
-        target.clone()
-    } else {
-        Region::new(target.outer().clone(), kept).map_err(|e| {
-            FractureError::InvalidTarget(TargetDefect::NonSimple {
-                hole: None,
-                detail: format!("region rebuild failed after hole repair: {e}"),
-            })
-        })?
-    };
-    validate_target(&repaired, cfg)?;
-    Ok(RepairedTarget {
-        target: repaired,
-        repairs,
-    })
 }
 
 #[cfg(test)]
@@ -177,32 +117,5 @@ mod tests {
             Err(FractureError::InvalidTarget(TargetDefect::NonSimple { hole: None, .. })) => {}
             other => panic!("expected NonSimple, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn repair_drops_sub_resolution_hole() {
-        let outer = Polygon::from_rect(Rect::new(0, 0, 80, 80).unwrap());
-        let pinhole = Polygon::from_rect(Rect::new(40, 40, 43, 43).unwrap());
-        let region = Region::new(outer, vec![pinhole]).unwrap();
-        let repaired = repair_target(&region, &cfg()).unwrap();
-        assert!(repaired.target.holes().is_empty());
-        assert_eq!(repaired.repairs.len(), 1);
-        assert!(repaired.repairs[0].contains("sub-resolution"), "{:?}", repaired.repairs);
-    }
-
-    #[test]
-    fn repair_keeps_writable_holes() {
-        let outer = Polygon::from_rect(Rect::new(0, 0, 90, 90).unwrap());
-        let hole = Polygon::from_rect(Rect::new(30, 30, 60, 60).unwrap());
-        let region = Region::new(outer, vec![hole]).unwrap();
-        let repaired = repair_target(&region, &cfg()).unwrap();
-        assert_eq!(repaired.target.holes().len(), 1);
-        assert!(repaired.repairs.is_empty());
-    }
-
-    #[test]
-    fn repair_does_not_mask_outer_defects() {
-        let sliver = Region::simple(Polygon::from_rect(Rect::new(0, 0, 50, 4).unwrap()));
-        assert!(repair_target(&sliver, &cfg()).is_err());
     }
 }

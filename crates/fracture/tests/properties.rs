@@ -1,6 +1,6 @@
 //! Property-based tests for the fracturing pipeline's building blocks.
 
-use maskfrac_ebeam::Classification;
+use maskfrac_ebeam::{Classification, PixelClass};
 use maskfrac_fracture::corner::{cluster_corners, extract_shot_corners};
 use maskfrac_fracture::refine::{polish_edges, reduce_shots, refine};
 use maskfrac_fracture::{CornerType, FractureConfig, FractureScratch};
@@ -41,7 +41,12 @@ fn corner_extraction_covers_all_sides() {
         // A rectangle with sides >= lth yields one merged corner per type.
         if poly.bbox().min_side() as f64 >= lth {
             assert_eq!(corners.len(), 4);
-            for kind in CornerType::ALL {
+            for kind in [
+                CornerType::BottomLeft,
+                CornerType::BottomRight,
+                CornerType::TopLeft,
+                CornerType::TopRight,
+            ] {
                 assert_eq!(corners.iter().filter(|c| c.kind == kind).count(), 1);
             }
         }
@@ -65,7 +70,12 @@ fn check_refine_respects_min_size_and_improves(poly: &Polygon) {
         assert!(s.min_side() >= cfg.min_shot_size);
     }
     // Refinement must improve on the seed's violation count massively.
-    assert!(out.summary.fail_count() < cls.on_count() / 2);
+    let frame = cls.frame();
+    let on = (0..frame.height())
+        .flat_map(|iy| (0..frame.width()).map(move |ix| (ix, iy)))
+        .filter(|&(ix, iy)| cls.class(ix, iy) == PixelClass::On)
+        .count();
+    assert!(out.summary.fail_count() < on / 2);
 }
 
 #[test]

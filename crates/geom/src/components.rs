@@ -17,18 +17,6 @@ pub struct Component {
     pub bbox: Rect,
 }
 
-impl Component {
-    /// Number of pixels in the component.
-    pub fn len(&self) -> usize {
-        self.pixels.len()
-    }
-
-    /// Whether the component is empty (never true for labeled output).
-    pub fn is_empty(&self) -> bool {
-        self.pixels.is_empty()
-    }
-}
-
 /// Labels the 4-connected components of the set pixels.
 ///
 /// Components are returned in deterministic order (by their lowest-index
@@ -45,7 +33,7 @@ impl Component {
 /// bm.set(4, 4, true);
 /// let comps = label_components(&bm);
 /// assert_eq!(comps.len(), 2);
-/// assert_eq!(comps[0].len(), 2);
+/// assert_eq!(comps[0].pixels.len(), 2);
 /// ```
 pub fn label_components(bitmap: &Bitmap) -> Vec<Component> {
     let w = bitmap.width();
@@ -118,9 +106,8 @@ mod tests {
         }
         let comps = label_components(&bm);
         assert_eq!(comps.len(), 1);
-        assert_eq!(comps[0].len(), 9);
+        assert_eq!(comps[0].pixels.len(), 9);
         assert_eq!(comps[0].bbox, Rect::new(2, 1, 5, 4).unwrap());
-        assert!(!comps[0].is_empty());
     }
 
     #[test]
@@ -144,7 +131,7 @@ mod tests {
         }
         let comps = label_components(&bm);
         assert_eq!(comps.len(), 1);
-        assert_eq!(comps[0].len(), 11);
+        assert_eq!(comps[0].pixels.len(), 11);
         assert_eq!(comps[0].bbox, Rect::new(0, 0, 5, 4).unwrap());
     }
 

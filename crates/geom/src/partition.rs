@@ -6,47 +6,12 @@
 //! module provides that conventional substrate. It is used directly as the
 //! "conventional" baseline and as the seed of the PROTO-EDA surrogate.
 //!
-//! Two strategies are provided:
-//!
-//! * [`partition_rows`] — one rectangle per maximal pixel run per row
-//!   (a worst-case but trivially correct partition);
-//! * [`partition_slabs`] — row runs merged vertically while their x-extent
-//!   is unchanged (the classic slab/trapezoid decomposition, near-minimal
-//!   for shapes whose boundary staircase is coarse).
+//! [`partition_slabs`] merges row runs vertically while their x-extent is
+//! unchanged (the classic slab/trapezoid decomposition, near-minimal for
+//! shapes whose boundary staircase is coarse).
 
 use crate::raster::{Bitmap, Frame};
 use crate::rect::Rect;
-
-/// Partitions the set pixels into one rectangle per maximal horizontal run
-/// per row. Returned rectangles are in absolute nm via `frame`.
-pub fn partition_rows(bitmap: &Bitmap, frame: Frame) -> Vec<Rect> {
-    let mut rects = Vec::new();
-    let ox = frame.origin().x;
-    let oy = frame.origin().y;
-    for iy in 0..bitmap.height() {
-        let mut ix = 0;
-        while ix < bitmap.width() {
-            if bitmap.get(ix, iy) {
-                let start = ix;
-                while ix < bitmap.width() && bitmap.get(ix, iy) {
-                    ix += 1;
-                }
-                rects.push(
-                    Rect::new(
-                        ox + start as i64,
-                        oy + iy as i64,
-                        ox + ix as i64,
-                        oy + iy as i64 + 1,
-                    )
-                    .expect("run is well-formed"),
-                );
-            } else {
-                ix += 1;
-            }
-        }
-    }
-    rects
-}
 
 /// Partitions the set pixels into vertically-merged row runs (slabs).
 ///
@@ -63,7 +28,7 @@ pub fn partition_rows(bitmap: &Bitmap, frame: Frame) -> Vec<Rect> {
 ///
 /// let mut bm = Bitmap::new(4, 4);
 /// for iy in 0..4 { for ix in 0..4 { bm.set(ix, iy, true); } }
-/// let rects = partition_slabs(&bm, Frame::new(Point::ORIGIN, 4, 4));
+/// let rects = partition_slabs(&bm, Frame::new(Point::new(0, 0), 4, 4));
 /// assert_eq!(rects.len(), 1); // a filled square is one slab
 /// ```
 pub fn partition_slabs(bitmap: &Bitmap, frame: Frame) -> Vec<Rect> {
@@ -261,7 +226,7 @@ mod tests {
     use crate::polygon::Polygon;
 
     fn frame(w: usize, h: usize) -> Frame {
-        Frame::new(Point::ORIGIN, w, h)
+        Frame::new(Point::new(0, 0), w, h)
     }
 
     fn l_shape_bitmap() -> (Bitmap, Frame) {
@@ -276,14 +241,6 @@ mod tests {
         .unwrap();
         let f = frame(6, 6);
         (Bitmap::rasterize(&l, f), f)
-    }
-
-    #[test]
-    fn rows_partition_is_valid() {
-        let (bm, f) = l_shape_bitmap();
-        let rects = partition_rows(&bm, f);
-        assert!(is_partition_of(&rects, &bm, f));
-        assert_eq!(rects.len(), 2 + 4); // two wide rows + four narrow rows
     }
 
     #[test]
@@ -311,7 +268,6 @@ mod tests {
     fn slabs_on_empty_bitmap() {
         let bm = Bitmap::new(5, 5);
         assert!(partition_slabs(&bm, frame(5, 5)).is_empty());
-        assert!(partition_rows(&bm, frame(5, 5)).is_empty());
     }
 
     #[test]

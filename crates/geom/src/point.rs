@@ -13,7 +13,7 @@ use std::ops::{Add, AddAssign, Neg, Sub, SubAssign};
 /// let a = Point::new(3, 4);
 /// let b = Point::new(-1, 2);
 /// assert_eq!(a + b, Point::new(2, 6));
-/// assert_eq!(a.dot(a), 25);
+/// assert_eq!(a - b, Point::new(4, 2));
 /// assert_eq!(a.norm(), 5.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -25,9 +25,6 @@ pub struct Point {
 }
 
 impl Point {
-    /// The origin `(0, 0)`.
-    pub const ORIGIN: Point = Point { x: 0, y: 0 };
-
     /// Creates a point from nanometre coordinates.
     #[inline]
     pub const fn new(x: i64, y: i64) -> Self {
@@ -36,7 +33,7 @@ impl Point {
 
     /// Dot product, treating both points as vectors.
     #[inline]
-    pub const fn dot(self, other: Point) -> i64 {
+    pub(crate) const fn dot(self, other: Point) -> i64 {
         self.x * other.x + self.y * other.y
     }
 
@@ -44,13 +41,13 @@ impl Point {
     ///
     /// Positive when `other` is counter-clockwise from `self`.
     #[inline]
-    pub const fn cross(self, other: Point) -> i64 {
+    pub(crate) const fn cross(self, other: Point) -> i64 {
         self.x * other.y - self.y * other.x
     }
 
     /// Squared Euclidean length of the vector.
     #[inline]
-    pub const fn norm_sq(self) -> i64 {
+    pub(crate) const fn norm_sq(self) -> i64 {
         self.x * self.x + self.y * self.y
     }
 
@@ -68,38 +65,14 @@ impl Point {
 
     /// Squared Euclidean distance to `other`.
     #[inline]
-    pub const fn distance_sq(self, other: Point) -> i64 {
+    pub(crate) const fn distance_sq(self, other: Point) -> i64 {
         (other.x - self.x) * (other.x - self.x) + (other.y - self.y) * (other.y - self.y)
-    }
-
-    /// Chebyshev (L∞) distance to `other`.
-    #[inline]
-    pub fn distance_chebyshev(self, other: Point) -> i64 {
-        (other.x - self.x).abs().max((other.y - self.y).abs())
-    }
-
-    /// Manhattan (L1) distance to `other`.
-    #[inline]
-    pub fn distance_manhattan(self, other: Point) -> i64 {
-        (other.x - self.x).abs() + (other.y - self.y).abs()
     }
 
     /// Returns this point as an `(f64, f64)` pair.
     #[inline]
-    pub fn to_f64(self) -> (f64, f64) {
+    pub(crate) fn to_f64(self) -> (f64, f64) {
         (self.x as f64, self.y as f64)
-    }
-
-    /// Perpendicular distance from this point to the infinite line through
-    /// `a` and `b`.
-    ///
-    /// Returns the distance to `a` when `a == b`.
-    pub fn distance_to_line(self, a: Point, b: Point) -> f64 {
-        let ab = b - a;
-        if ab == Point::ORIGIN {
-            return self.distance(a);
-        }
-        (ab.cross(self - a)).abs() as f64 / ab.norm()
     }
 
     /// Euclidean distance from this point to the closed segment `a`–`b`.
@@ -215,18 +188,6 @@ mod tests {
         assert_eq!(b.norm(), 5.0);
         assert_eq!(a.distance(b), 5.0);
         assert_eq!(a.distance_sq(b), 25);
-        assert_eq!(a.distance_chebyshev(b), 4);
-        assert_eq!(a.distance_manhattan(b), 7);
-    }
-
-    #[test]
-    fn line_distance() {
-        let p = Point::new(0, 5);
-        let a = Point::new(-10, 0);
-        let b = Point::new(10, 0);
-        assert_eq!(p.distance_to_line(a, b), 5.0);
-        // Degenerate line collapses to point distance.
-        assert_eq!(p.distance_to_line(a, a), p.distance(a));
     }
 
     #[test]

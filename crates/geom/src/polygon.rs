@@ -132,11 +132,6 @@ impl Polygon {
         self.area2() as f64 / 2.0
     }
 
-    /// Total boundary length.
-    pub fn perimeter(&self) -> f64 {
-        self.edges().map(|(a, b)| a.distance(b)).sum()
-    }
-
     /// Axis-aligned bounding box.
     pub fn bbox(&self) -> Rect {
         Rect::bounding(self.vertices.iter().copied())
@@ -145,7 +140,7 @@ impl Polygon {
 
     /// Iterator over directed boundary edges `(v_k, v_{k+1})`, including the
     /// closing edge.
-    pub fn edges(&self) -> impl Iterator<Item = (Point, Point)> + '_ {
+    pub(crate) fn edges(&self) -> impl Iterator<Item = (Point, Point)> + '_ {
         let n = self.vertices.len();
         (0..n).map(move |i| (self.vertices[i], self.vertices[(i + 1) % n]))
     }
@@ -155,19 +150,15 @@ impl Polygon {
         self.edges().all(|(a, b)| a.x == b.x || a.y == b.y)
     }
 
-    /// Whether the ring is simple: no two non-adjacent edges intersect or
-    /// touch, and no vertex is a spike (consecutive edges doubling back).
+    /// Checks that the ring is simple: no two non-adjacent edges intersect
+    /// or touch, and no vertex is a spike (consecutive edges doubling
+    /// back).
     ///
     /// [`Polygon::new`] does not check this — rasterized contours are
     /// simple by construction — but externally supplied layouts are not,
     /// so the fracturing front-door validates with this test. `O(n²)` in
     /// the vertex count, which is fine at mask-shape sizes (simplified
     /// boundaries run tens of vertices).
-    pub fn is_simple(&self) -> bool {
-        self.check_simple().is_ok()
-    }
-
-    /// [`Polygon::is_simple`] with a defect description on failure.
     ///
     /// # Errors
     ///
@@ -229,12 +220,6 @@ impl Polygon {
         inside
     }
 
-    /// Point-in-polygon test for an integer grid point (see
-    /// [`contains_f64`](Self::contains_f64) for boundary caveats).
-    pub fn contains(&self, p: Point) -> bool {
-        self.contains_f64(p.x as f64, p.y as f64)
-    }
-
     /// Euclidean distance from a continuous point to the polygon boundary.
     pub fn distance_to_boundary_f64(&self, x: f64, y: f64) -> f64 {
         let mut best = f64::INFINITY;
@@ -287,33 +272,6 @@ impl Polygon {
             vertices.rotate_right(1);
         }
         Polygon { vertices }
-    }
-
-    /// Fraction of `rect`'s area lying inside the polygon, estimated by
-    /// sampling pixel centres at 1 nm pitch.
-    ///
-    /// Used for the paper's "more than 80 % of the test shot area must
-    /// overlap with the target shape" criterion. Degenerate rectangles
-    /// return 0.
-    pub fn overlap_fraction(&self, rect: &Rect) -> f64 {
-        if rect.is_degenerate() {
-            return 0.0;
-        }
-        let mut inside = 0u64;
-        let mut total = 0u64;
-        for ix in rect.x0()..rect.x1() {
-            for iy in rect.y0()..rect.y1() {
-                total += 1;
-                if self.contains_f64(ix as f64 + 0.5, iy as f64 + 0.5) {
-                    inside += 1;
-                }
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            inside as f64 / total as f64
-        }
     }
 }
 
@@ -425,7 +383,6 @@ mod tests {
         let s = square();
         assert_eq!(s.area2(), 200);
         assert_eq!(s.area(), 100.0);
-        assert_eq!(s.perimeter(), 40.0);
         assert_eq!(s.bbox(), Rect::new(0, 0, 10, 10).unwrap());
         assert!(s.is_rectilinear());
     }
@@ -443,7 +400,6 @@ mod tests {
         assert!(s.contains_f64(5.0, 5.0));
         assert!(!s.contains_f64(-0.5, 5.0));
         assert!(!s.contains_f64(10.5, 5.0));
-        assert!(s.contains(Point::new(5, 5)));
     }
 
     #[test]
@@ -468,19 +424,6 @@ mod tests {
         assert_eq!(s.distance_to_boundary_f64(5.0, 5.0), 5.0);
         assert_eq!(s.distance_to_boundary_f64(5.0, 12.0), 2.0);
         assert_eq!(s.distance_to_boundary_f64(0.0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn overlap_fraction_square() {
-        let s = square();
-        let full = Rect::new(0, 0, 10, 10).unwrap();
-        let half = Rect::new(5, 0, 15, 10).unwrap();
-        let out = Rect::new(20, 20, 30, 30).unwrap();
-        assert_eq!(s.overlap_fraction(&full), 1.0);
-        assert!((s.overlap_fraction(&half) - 0.5).abs() < 1e-9);
-        assert_eq!(s.overlap_fraction(&out), 0.0);
-        let degenerate = Rect::new(0, 0, 0, 10).unwrap();
-        assert_eq!(s.overlap_fraction(&degenerate), 0.0);
     }
 
     #[test]
@@ -509,8 +452,14 @@ mod simplicity_tests {
 
     #[test]
     fn convex_and_rectilinear_rings_are_simple() {
-        assert!(poly(&[(0, 0), (10, 0), (10, 10), (0, 10)]).is_simple());
-        assert!(poly(&[(0, 0), (20, 0), (20, 10), (10, 10), (10, 20), (0, 20)]).is_simple());
+        assert!(poly(&[(0, 0), (10, 0), (10, 10), (0, 10)])
+            .check_simple()
+            .is_ok());
+        assert!(
+            poly(&[(0, 0), (20, 0), (20, 10), (10, 10), (10, 20), (0, 20)])
+                .check_simple()
+                .is_ok()
+        );
     }
 
     #[test]
@@ -535,7 +484,7 @@ mod simplicity_tests {
             (10, 10),
             (0, 10),
         ]);
-        assert!(!p.is_simple());
+        assert!(p.check_simple().is_err());
     }
 
     #[test]
@@ -549,7 +498,9 @@ mod simplicity_tests {
     #[test]
     fn collinear_continuation_is_simple() {
         // A redundant midpoint on an edge is not a defect.
-        assert!(poly(&[(0, 0), (5, 0), (10, 0), (10, 10), (0, 10)]).is_simple());
+        assert!(poly(&[(0, 0), (5, 0), (10, 0), (10, 10), (0, 10)])
+            .check_simple()
+            .is_ok());
     }
 
     #[test]

@@ -109,12 +109,6 @@ impl Frame {
         iy * self.width + ix
     }
 
-    /// Pixel coordinates of linear index `i`.
-    #[inline]
-    pub fn coords(&self, i: usize) -> (usize, usize) {
-        (i % self.width, i / self.width)
-    }
-
     /// Pixel containing the absolute nm point `(x, y)`, if inside the frame.
     pub fn pixel_of(&self, x: f64, y: f64) -> Option<(usize, usize)> {
         let fx = x - self.origin.x as f64;
@@ -205,7 +199,7 @@ impl Bitmap {
     /// Signed-coordinate variant of [`get`](Self::get); negative coordinates
     /// read as `false`.
     #[inline]
-    pub fn get_i64(&self, ix: i64, iy: i64) -> bool {
+    pub(crate) fn get_i64(&self, ix: i64, iy: i64) -> bool {
         if ix < 0 || iy < 0 {
             false
         } else {
@@ -237,19 +231,6 @@ impl Bitmap {
             .enumerate()
             .filter(|(_, &b)| b)
             .map(move |(i, _)| (i % w, i / w))
-    }
-
-    /// Logical OR with another bitmap of identical size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if sizes differ.
-    pub fn or_assign(&mut self, other: &Bitmap) {
-        assert_eq!(self.width, other.width);
-        assert_eq!(self.height, other.height);
-        for (a, b) in self.bits.iter_mut().zip(&other.bits) {
-            *a |= *b;
-        }
     }
 
     /// Rasterizes a polygon into a fresh bitmap: pixel set iff its centre is
@@ -410,7 +391,6 @@ mod tests {
         assert_eq!(f.pixel_center(0, 0), (-4.5, 10.5));
         assert_eq!(f.pixel_center(19, 7), (14.5, 17.5));
         assert_eq!(f.index(3, 2), 2 * 20 + 3);
-        assert_eq!(f.coords(43), (3, 2));
         assert_eq!(f.pixel_of(-4.5, 10.5), Some((0, 0)));
         assert_eq!(f.pixel_of(-5.5, 10.5), None);
         assert_eq!(f.pixel_of(14.999, 17.999), Some((19, 7)));
@@ -428,7 +408,7 @@ mod tests {
 
     #[test]
     fn clamp_ranges() {
-        let f = Frame::new(Point::ORIGIN, 10, 10);
+        let f = Frame::new(Point::new(0, 0), 10, 10);
         // centres 0.5..9.5; [2.0, 5.0] contains centres 2.5, 3.5, 4.5.
         assert_eq!(f.clamp_x_range(2.0, 5.0), 2..5);
         assert_eq!(f.clamp_x_range(-100.0, 100.0), 0..10);
@@ -452,19 +432,9 @@ mod tests {
     }
 
     #[test]
-    fn or_assign_merges() {
-        let mut a = Bitmap::new(2, 2);
-        let mut b = Bitmap::new(2, 2);
-        a.set(0, 0, true);
-        b.set(1, 1, true);
-        a.or_assign(&b);
-        assert_eq!(a.count_ones(), 2);
-    }
-
-    #[test]
     fn rasterize_square() {
         let poly = Polygon::from_rect(Rect::new(2, 2, 6, 5).unwrap());
-        let frame = Frame::new(Point::ORIGIN, 8, 8);
+        let frame = Frame::new(Point::new(0, 0), 8, 8);
         let bm = Bitmap::rasterize(&poly, frame);
         assert_eq!(bm.count_ones(), 4 * 3);
         assert!(bm.get(2, 2));
@@ -484,7 +454,7 @@ mod tests {
             Point::new(0, 4),
         ])
         .unwrap();
-        let bm = Bitmap::rasterize(&l, Frame::new(Point::ORIGIN, 5, 5));
+        let bm = Bitmap::rasterize(&l, Frame::new(Point::new(0, 0), 5, 5));
         assert_eq!(bm.count_ones(), 8 + 4);
         assert!(bm.get(3, 1));
         assert!(!bm.get(3, 3));
@@ -495,7 +465,7 @@ mod tests {
         // Slope 7/8 so no pixel centre falls exactly on the hypotenuse.
         let tri = Polygon::new(vec![Point::new(0, 0), Point::new(8, 0), Point::new(0, 7)])
             .unwrap();
-        let bm = Bitmap::rasterize(&tri, Frame::new(Point::ORIGIN, 8, 8));
+        let bm = Bitmap::rasterize(&tri, Frame::new(Point::new(0, 0), 8, 8));
         // Half the square minus the staircase; must match centre-in-triangle.
         for ix in 0..8 {
             for iy in 0..8 {
@@ -508,7 +478,7 @@ mod tests {
     #[test]
     fn contour_of_square_round_trips() {
         let poly = Polygon::from_rect(Rect::new(1, 1, 5, 4).unwrap());
-        let bm = Bitmap::rasterize(&poly, Frame::new(Point::ORIGIN, 8, 8));
+        let bm = Bitmap::rasterize(&poly, Frame::new(Point::new(0, 0), 8, 8));
         let traced = bm.largest_outer_contour().unwrap();
         assert_eq!(traced.area2(), poly.area2());
         assert_eq!(traced.bbox(), poly.bbox());
@@ -526,7 +496,7 @@ mod tests {
             Point::new(0, 4),
         ])
         .unwrap();
-        let bm = Bitmap::rasterize(&l, Frame::new(Point::ORIGIN, 6, 6));
+        let bm = Bitmap::rasterize(&l, Frame::new(Point::new(0, 0), 6, 6));
         let traced = bm.largest_outer_contour().unwrap();
         assert_eq!(traced.area2(), l.area2());
         assert_eq!(traced.len(), 6);

@@ -53,7 +53,7 @@ impl Rect {
     /// Creates a rectangle from two arbitrary opposite corners, normalizing
     /// the coordinate order.
     #[inline]
-    pub fn from_corners(a: Point, b: Point) -> Self {
+    pub(crate) fn from_corners(a: Point, b: Point) -> Self {
         Rect {
             x0: a.x.min(b.x),
             y0: a.y.min(b.y),
@@ -65,7 +65,7 @@ impl Rect {
     /// Creates the bounding box of a non-empty set of points.
     ///
     /// Returns `None` for an empty iterator.
-    pub fn bounding<I: IntoIterator<Item = Point>>(points: I) -> Option<Self> {
+    pub(crate) fn bounding<I: IntoIterator<Item = Point>>(points: I) -> Option<Self> {
         let mut it = points.into_iter();
         let first = it.next()?;
         let mut r = Rect::from_corners(first, first);
@@ -110,19 +110,19 @@ impl Rect {
 
     /// Bottom-right corner.
     #[inline]
-    pub const fn bottom_right(&self) -> Point {
+    pub(crate) const fn bottom_right(&self) -> Point {
         Point::new(self.x1, self.y0)
     }
 
     /// Top-left corner.
     #[inline]
-    pub const fn top_left(&self) -> Point {
+    pub(crate) const fn top_left(&self) -> Point {
         Point::new(self.x0, self.y1)
     }
 
     /// Top-right corner.
     #[inline]
-    pub const fn top_right(&self) -> Point {
+    pub(crate) const fn top_right(&self) -> Point {
         Point::new(self.x1, self.y1)
     }
 
@@ -267,7 +267,7 @@ impl Rect {
     }
 
     /// The rectangle's outline as a counter-clockwise point ring.
-    pub fn corners(&self) -> [Point; 4] {
+    pub(crate) fn corners(&self) -> [Point; 4] {
         [
             self.bottom_left(),
             self.bottom_right(),
@@ -305,12 +305,6 @@ pub enum Edge {
 impl Edge {
     /// All four edges, in a fixed iteration order.
     pub const ALL: [Edge; 4] = [Edge::Left, Edge::Right, Edge::Bottom, Edge::Top];
-
-    /// Whether the edge is vertical (left/right).
-    #[inline]
-    pub const fn is_vertical(&self) -> bool {
-        matches!(self, Edge::Left | Edge::Right)
-    }
 }
 
 impl fmt::Display for Edge {
@@ -404,8 +398,6 @@ mod tests {
         let moved = r.with_edge(Edge::Right, 15).unwrap();
         assert_eq!(moved.width(), 15);
         assert!(r.with_edge(Edge::Left, 11).is_none());
-        assert!(Edge::Left.is_vertical());
-        assert!(!Edge::Top.is_vertical());
         assert_eq!(Edge::ALL.len(), 4);
     }
 

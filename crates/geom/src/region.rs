@@ -4,7 +4,6 @@
 //! can enclose islands (donut-like contours). A [`Region`] is an outer
 //! ring minus a set of hole rings, all digitized on the writing grid.
 
-use crate::point::Point;
 use crate::polygon::{Polygon, PolygonError};
 use crate::raster::{Bitmap, Frame};
 use crate::rect::Rect;
@@ -24,8 +23,8 @@ use std::fmt;
 /// let outer = Polygon::from_rect(Rect::new(0, 0, 60, 60).expect("rect"));
 /// let hole = Polygon::from_rect(Rect::new(20, 20, 40, 40).expect("rect"));
 /// let donut = Region::new(outer, vec![hole]).expect("hole inside outer");
-/// assert!(donut.contains_f64(10.0, 10.0));
-/// assert!(!donut.contains_f64(30.0, 30.0)); // inside the hole
+/// assert_eq!(donut.holes().len(), 1);
+/// assert_eq!(donut.area(), 3600.0 - 400.0); // the hole is not area
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Region {
@@ -106,7 +105,8 @@ impl Region {
     }
 
     /// Point-in-region test: inside the outer ring and outside every hole.
-    pub fn contains_f64(&self, x: f64, y: f64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains_f64(&self, x: f64, y: f64) -> bool {
         self.outer.contains_f64(x, y) && !self.holes.iter().any(|h| h.contains_f64(x, y))
     }
 
@@ -120,27 +120,6 @@ impl Region {
             }
         }
         bm
-    }
-
-    /// Boundary rings in **interior-on-the-left** traversal order: the
-    /// outer ring as stored (CCW) and each hole reversed (CW) — the
-    /// orientation boundary-walking algorithms (corner extraction) expect.
-    pub fn oriented_rings(&self) -> Vec<Vec<Point>> {
-        let mut rings = vec![self.outer.vertices().to_vec()];
-        for hole in &self.holes {
-            let mut ring = hole.vertices().to_vec();
-            ring.reverse();
-            rings.push(ring);
-        }
-        rings
-    }
-
-    /// Region translated by `d`.
-    pub fn translate(&self, d: Point) -> Region {
-        Region {
-            outer: self.outer.translate(d),
-            holes: self.holes.iter().map(|h| h.translate(d)).collect(),
-        }
     }
 }
 
@@ -199,20 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn oriented_rings_reverse_holes() {
-        let d = donut();
-        let rings = d.oriented_rings();
-        assert_eq!(rings.len(), 2);
-        // Outer stays CCW (positive shoelace), hole ring flips to CW.
-        let shoelace = |ring: &[Point]| -> i64 {
-            let n = ring.len();
-            (0..n).map(|i| ring[i].cross(ring[(i + 1) % n])).sum()
-        };
-        assert!(shoelace(&rings[0]) > 0);
-        assert!(shoelace(&rings[1]) < 0);
-    }
-
-    #[test]
     fn hole_outside_is_rejected() {
         let outer = Polygon::from_rect(Rect::new(0, 0, 30, 30).unwrap());
         let hole = Polygon::from_rect(Rect::new(40, 40, 50, 50).unwrap());
@@ -230,12 +195,5 @@ mod tests {
         assert!(r.holes().is_empty());
         assert_eq!(r.area(), p.area());
         assert_eq!(r.to_string(), "region[outer 4 vertices, 0 holes, area 400]");
-    }
-
-    #[test]
-    fn translate_moves_everything() {
-        let d = donut().translate(Point::new(100, 50));
-        assert!(d.contains_f64(110.0, 80.0));
-        assert!(!d.contains_f64(130.0, 80.0));
     }
 }

@@ -17,7 +17,6 @@ use std::fmt;
 /// g.add_edge(0, 2);
 /// assert!(g.has_edge(2, 0));
 /// assert_eq!(g.degree(0), 1);
-/// assert_eq!(g.edge_count(), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
@@ -42,7 +41,7 @@ impl Graph {
 
     /// Number of edges.
     #[inline]
-    pub fn edge_count(&self) -> usize {
+    pub(crate) fn edge_count(&self) -> usize {
         self.edge_count
     }
 
@@ -74,7 +73,7 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if `u` is out of range.
-    pub fn neighbors(&self, u: usize) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn neighbors(&self, u: usize) -> impl Iterator<Item = usize> + '_ {
         self.adjacency[u].iter().copied()
     }
 
@@ -90,7 +89,7 @@ impl Graph {
 
     /// The complement ("inverse") graph: same vertices, an edge wherever
     /// `self` has none.
-    pub fn complement(&self) -> Graph {
+    pub(crate) fn complement(&self) -> Graph {
         let n = self.vertex_count();
         let mut g = Graph::new(n);
         for u in 0..n {
@@ -161,6 +160,22 @@ mod tests {
             g.add_edge(u, v);
         }
         assert_eq!(g.complement().complement(), g);
+    }
+
+    #[test]
+    fn complement_involution_holds() {
+        maskfrac_geom::rng::for_cases(256, |rng| {
+            let n = rng.gen_range(2..=23) as usize;
+            let mut g = Graph::new(n);
+            for _ in 0..rng.gen_range(0..=79) {
+                let (u, v) = (
+                    rng.gen_range(0..=23) as usize % n,
+                    rng.gen_range(0..=23) as usize % n,
+                );
+                g.add_edge(u, v);
+            }
+            assert_eq!(g.complement().complement(), g);
+        });
     }
 
     #[test]

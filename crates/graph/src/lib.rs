@@ -29,10 +29,8 @@
 
 pub mod coloring;
 pub mod graph;
-pub mod matching;
 
 pub use coloring::{color, is_proper, Coloring, ColoringStrategy};
-pub use matching::{maximum_matching, Bipartite, Matching};
 pub use graph::Graph;
 
 /// Partitions the vertices of `graph` into cliques by coloring the inverse

@@ -1,7 +1,6 @@
 //! Property-based tests for the graph substrate.
 
 use maskfrac_geom::rng::{for_cases, StdRng};
-use maskfrac_graph::matching::{maximum_matching, Bipartite};
 use maskfrac_graph::{clique_partition, color, is_proper, ColoringStrategy, Graph};
 
 /// A uniform index in `lo..=hi`.
@@ -59,49 +58,5 @@ fn clique_partition_is_exhaustive_and_valid() {
             }
         }
         assert!(seen.iter().all(|&s| s), "a vertex was dropped");
-    });
-}
-
-#[test]
-fn complement_involution_holds() {
-    for_cases(256, |rng| {
-        let g = graph(rng);
-        assert_eq!(g.complement().complement(), g);
-    });
-}
-
-#[test]
-fn matching_is_consistent_and_cover_valid() {
-    for_cases(256, |rng| {
-        let (n, m) = (index(rng, 1, 11), index(rng, 1, 11));
-        let mut g = Bipartite::new(n, m);
-        for _ in 0..index(rng, 0, 49) {
-            let (l, r) = (index(rng, 0, 11), index(rng, 0, 11));
-            g.add_edge(l % n, r % m);
-        }
-        let matching = maximum_matching(&g);
-        // Pairings are mutual.
-        for (l, pr) in matching.pair_left.iter().enumerate() {
-            if let Some(r) = pr {
-                assert_eq!(matching.pair_right[*r], Some(l));
-            }
-        }
-        // König: the cover hits every edge and |cover| == |matching|.
-        let mut cover_size = 0;
-        for l in 0..n {
-            cover_size += matching.cover_left[l] as usize;
-        }
-        for r in 0..m {
-            cover_size += matching.cover_right[r] as usize;
-        }
-        assert_eq!(cover_size, matching.len());
-        for l in 0..n {
-            for &r in g.neighbors(l) {
-                assert!(
-                    matching.cover_left[l] || matching.cover_right[r],
-                    "edge {l}-{r} uncovered"
-                );
-            }
-        }
     });
 }

@@ -39,15 +39,15 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of a geometry-cache artifact's header frame.
-pub const GEOMCACHE_MAGIC: [u8; 8] = *b"MFGEOM\0\0";
+pub(crate) const GEOMCACHE_MAGIC: [u8; 8] = *b"MFGEOM\0\0";
 
 /// Artifact format version this build reads and writes.
-pub const GEOMCACHE_VERSION: u32 = 1;
+pub(crate) const GEOMCACHE_VERSION: u32 = 1;
 
 /// Handle on one config's namespace inside a persistent geometry-cache
 /// directory. See the [module docs](self) for the artifact format.
 #[derive(Debug)]
-pub struct GeomCache {
+pub(crate) struct GeomCache {
     dir: PathBuf,
     config_fingerprint: u64,
 }
@@ -61,7 +61,7 @@ impl GeomCache {
     ///
     /// Returns the underlying error when the namespace directory cannot
     /// be created.
-    pub fn open(root: &Path, config: &FractureConfig) -> std::io::Result<GeomCache> {
+    pub(crate) fn open(root: &Path, config: &FractureConfig) -> std::io::Result<GeomCache> {
         let config_fingerprint = journal::config_fingerprint(config);
         let dir = root.join(format!("{config_fingerprint:016x}"));
         std::fs::create_dir_all(&dir)?;
@@ -72,7 +72,8 @@ impl GeomCache {
     }
 
     /// The namespace directory artifacts of this config land in.
-    pub fn dir(&self) -> &Path {
+    #[cfg(test)]
+    pub(crate) fn dir(&self) -> &Path {
         &self.dir
     }
 
@@ -85,7 +86,7 @@ impl GeomCache {
     /// Any validation failure — missing file, torn frame, wrong magic or
     /// version, foreign fingerprint — reads as `None` (a miss), so a
     /// corrupt artifact costs one recompute, never a wrong result.
-    pub fn load(&self, geometry: u64) -> Option<JournalRecord> {
+    pub(crate) fn load(&self, geometry: u64) -> Option<JournalRecord> {
         let record = self.load_validated(geometry);
         match record {
             Some(_) => maskfrac_obs::counter!("mdp.geomcache.hits").incr(),
@@ -113,7 +114,7 @@ impl GeomCache {
     /// Persists one freshly computed outcome. A failure is reported to
     /// the caller (and counted as `mdp.geomcache.write_failures`) but is
     /// never fatal to the run — the result simply stays uncached.
-    pub fn store(&self, record: &JournalRecord) -> std::io::Result<()> {
+    pub(crate) fn store(&self, record: &JournalRecord) -> std::io::Result<()> {
         let result = self.store_atomic(record);
         match &result {
             Ok(()) => maskfrac_obs::counter!("mdp.geomcache.writes").incr(),

@@ -20,8 +20,8 @@
 //! rotations, `m0`/`m90`/`m180`/`m270` mirror-then-rotate); omitting it
 //! means identity, so v1 translation-only files parse unchanged.
 //!
-//! Files whose extension is `.json` are read and written as JSON instead
-//! (handy for tooling):
+//! Files whose extension is `.json` are read as JSON instead (handy for
+//! tooling):
 //!
 //! ```text
 //! {"name": "demo",
@@ -30,16 +30,16 @@
 //! ```
 //!
 //! `transform` names a [`maskfrac_geom::D4`] variant and defaults to the
-//! identity when absent. Both formats go through [`load_layout`] /
-//! [`save_layout`], which dispatch on the extension and report errors
-//! with the offending path and cause. Both readers build every ring
+//! identity when absent. Both formats go through [`load_layout`], which
+//! dispatches on the extension and reports errors with the offending
+//! path and cause. Both readers build every ring
 //! through [`Polygon::new`], so malformed rings are rejected and
 //! clockwise ones normalized.
 
 use crate::layout::{Layout, Placement};
 use maskfrac_geom::{Point, Polygon, D4};
-use maskfrac_obs::json::{self, Value};
-use maskfrac_shapes::io::{point_from_json, point_to_json, polygon_from_json, polygon_to_json};
+use maskfrac_obs::json;
+use maskfrac_shapes::io::{point_from_json, polygon_from_json};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -67,20 +67,13 @@ fn err(line: usize, message: impl Into<String>) -> ParseLayoutError {
     }
 }
 
-/// Error loading or saving a layout file. Every variant names the
+/// Error loading a layout file. Every variant names the
 /// offending path, so a batch job over many layouts can report exactly
 /// which file broke and why.
 #[derive(Debug)]
 pub enum LayoutIoError {
     /// The file could not be read.
     Read {
-        /// Offending path.
-        path: PathBuf,
-        /// Underlying filesystem error.
-        source: std::io::Error,
-    },
-    /// The file could not be written.
-    Write {
         /// Offending path.
         path: PathBuf,
         /// Underlying filesystem error.
@@ -109,9 +102,6 @@ impl fmt::Display for LayoutIoError {
             LayoutIoError::Read { path, source } => {
                 write!(f, "cannot read layout {}: {source}", path.display())
             }
-            LayoutIoError::Write { path, source } => {
-                write!(f, "cannot write layout {}: {source}", path.display())
-            }
             LayoutIoError::Parse { path, source } => {
                 write!(f, "{}: {source}", path.display())
             }
@@ -125,9 +115,7 @@ impl fmt::Display for LayoutIoError {
 impl std::error::Error for LayoutIoError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            LayoutIoError::Read { source, .. } | LayoutIoError::Write { source, .. } => {
-                Some(source)
-            }
+            LayoutIoError::Read { source, .. } => Some(source),
             LayoutIoError::Parse { source, .. } => Some(source),
             LayoutIoError::Json { .. } => None,
         }
@@ -361,26 +349,6 @@ fn is_json(path: &Path) -> bool {
         .is_some_and(|e| e.eq_ignore_ascii_case("json"))
 }
 
-/// Serializes a layout to its JSON form (see the module docs).
-pub fn layout_to_json(layout: &Layout) -> String {
-    let shapes = layout
-        .shapes()
-        .map(|(name, polygon)| (name, polygon_to_json(polygon)));
-    let placements = layout.placements().map(|(name, p)| {
-        let placement = Value::object([
-            ("offset", point_to_json(p.offset)),
-            ("transform", format!("{:?}", p.transform).into()),
-        ]);
-        Value::Array(vec![name.into(), placement])
-    });
-    Value::object([
-        ("name", Value::from(layout.name.as_str())),
-        ("shapes", Value::object(shapes)),
-        ("placements", Value::Array(placements.collect())),
-    ])
-    .pretty()
-}
-
 /// Parses a layout from its JSON form, validating every ring and
 /// placement.
 ///
@@ -388,7 +356,7 @@ pub fn layout_to_json(layout: &Layout) -> String {
 ///
 /// A [`json::Error`] for malformed JSON, a ring [`Polygon::new`] rejects,
 /// an unknown transform, or a placement of an unknown shape.
-pub fn layout_from_json(text: &str) -> Result<Layout, json::Error> {
+fn layout_from_json(text: &str) -> Result<Layout, json::Error> {
     let doc = json::parse(text)?;
     let mut layout = Layout::new(doc.field("name")?.to_str()?);
     for (name, shape) in doc.field("shapes")?.to_object()? {
@@ -422,25 +390,6 @@ pub fn layout_from_json(text: &str) -> Result<Layout, json::Error> {
     Ok(layout)
 }
 
-/// Writes the layout to a file — the text format by default, JSON when
-/// the extension is `.json`.
-///
-/// # Errors
-///
-/// [`LayoutIoError`] naming the path on filesystem failure.
-pub fn save_layout<P: AsRef<Path>>(layout: &Layout, path: P) -> Result<(), LayoutIoError> {
-    let path = path.as_ref();
-    let text = if is_json(path) {
-        layout_to_json(layout)
-    } else {
-        write_layout(layout)
-    };
-    std::fs::write(path, text).map_err(|e| LayoutIoError::Write {
-        path: path.to_owned(),
-        source: e,
-    })
-}
-
 /// Reads a layout file — the text format by default, JSON when the
 /// extension is `.json`.
 ///
@@ -472,6 +421,28 @@ pub fn load_layout<P: AsRef<Path>>(path: P) -> Result<Layout, LayoutIoError> {
 mod tests {
     use super::*;
     use maskfrac_geom::Rect;
+    use maskfrac_obs::json::Value;
+    use maskfrac_shapes::io::{point_to_json, polygon_to_json};
+
+    /// Serializes a layout to its JSON form (see the module docs).
+    fn layout_to_json(layout: &Layout) -> String {
+        let shapes = layout
+            .shapes()
+            .map(|(name, polygon)| (name, polygon_to_json(polygon)));
+        let placements = layout.placements().map(|(name, p)| {
+            let placement = Value::object([
+                ("offset", point_to_json(p.offset)),
+                ("transform", format!("{:?}", p.transform).into()),
+            ]);
+            Value::Array(vec![name.into(), placement])
+        });
+        Value::object([
+            ("name", Value::from(layout.name.as_str())),
+            ("shapes", Value::object(shapes)),
+            ("placements", Value::Array(placements.collect())),
+        ])
+        .pretty()
+    }
 
     fn demo() -> Layout {
         let mut layout = Layout::new("demo");
@@ -509,7 +480,7 @@ mod tests {
     fn file_round_trip() {
         let layout = demo();
         let path = std::env::temp_dir().join("maskfrac_layout_test.txt");
-        save_layout(&layout, &path).unwrap();
+        std::fs::write(&path, write_layout(&layout)).unwrap();
         let back = load_layout(&path).unwrap();
         assert_eq!(layout, back);
         std::fs::remove_file(&path).ok();
@@ -549,7 +520,7 @@ mod tests {
     fn json_round_trip() {
         let layout = demo();
         let path = std::env::temp_dir().join("maskfrac_layout_test.json");
-        save_layout(&layout, &path).unwrap();
+        std::fs::write(&path, layout_to_json(&layout)).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.trim_start().starts_with('{'), "JSON on .json paths");
         let back = load_layout(&path).unwrap();

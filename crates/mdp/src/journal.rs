@@ -14,7 +14,7 @@
 //! `[len: u32 LE][crc: u64 LE][payload: len bytes]` where `crc` is the
 //! FNV-1a hash ([`maskfrac_fracture::faults::fingerprint`]) of the
 //! payload. Frame 0 is the header: magic `MFJRNL\0\0`, format version,
-//! and the [`run_fingerprint`] of the (layout, config) pair — resuming
+//! and the `run_fingerprint` of the (layout, config) pair — resuming
 //! under a different layout or a result-affecting config change is
 //! refused ([`CheckpointIoError::FingerprintMismatch`]). Every further
 //! frame is one geometry record.
@@ -52,10 +52,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// Journal file magic (first 8 payload bytes of the header frame).
-pub const JOURNAL_MAGIC: [u8; 8] = *b"MFJRNL\0\0";
+pub(crate) const JOURNAL_MAGIC: [u8; 8] = *b"MFJRNL\0\0";
 
 /// On-disk format version this build reads and writes.
-pub const JOURNAL_VERSION: u32 = 1;
+pub(crate) const JOURNAL_VERSION: u32 = 1;
 
 /// One durable per-geometry record: everything the layout driver needs
 /// to reconstruct a [`crate::ShapeFractureStats`] row (and its shot
@@ -109,7 +109,7 @@ fn status_from_byte(byte: u8) -> Option<FractureStatus> {
 
 impl JournalRecord {
     /// Serializes the record payload (frame body, without len/crc).
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.shots.len() * 32);
         out.extend_from_slice(&self.geometry.to_le_bytes());
         out.push(status_to_byte(self.status));
@@ -139,7 +139,7 @@ impl JournalRecord {
     /// Parses a record payload produced by [`encode`](Self::encode).
     /// `None` on any structural violation (the reader treats that frame
     /// — and everything after it — as the torn tail).
-    pub fn decode(payload: &[u8]) -> Option<Self> {
+    pub(crate) fn decode(payload: &[u8]) -> Option<Self> {
         let mut cur = Cursor { buf: payload, pos: 0 };
         let geometry = cur.u64()?;
         let status = status_from_byte(cur.u8()?)?;
@@ -230,7 +230,7 @@ impl Cursor<'_> {
 
 /// Fingerprint of one geometry key (the dedup cache's exact-vertex-list
 /// identity) for journal records.
-pub fn geometry_fingerprint(key: &[u8]) -> u64 {
+pub(crate) fn geometry_fingerprint(key: &[u8]) -> u64 {
     faults::fingerprint(key)
 }
 
@@ -241,7 +241,7 @@ pub fn geometry_fingerprint(key: &[u8]) -> u64 {
 /// result-invariant (parity tests in `crates/fracture`), so a resume may
 /// change it — e.g. resume a 1-thread run with 4 threads — without
 /// invalidating the journal.
-pub fn run_fingerprint(layout: &Layout, config: &FractureConfig) -> u64 {
+pub(crate) fn run_fingerprint(layout: &Layout, config: &FractureConfig) -> u64 {
     let mut bytes = Vec::new();
     bytes.extend_from_slice(layout.name.as_bytes());
     bytes.push(0);
@@ -280,7 +280,7 @@ pub fn run_fingerprint(layout: &Layout, config: &FractureConfig) -> u64 {
 /// Hashes the same config byte stream as [`run_fingerprint`], with the
 /// same `refine_threads` exclusion (it only repartitions work across
 /// threads over bit-identical arithmetic).
-pub fn config_fingerprint(config: &FractureConfig) -> u64 {
+pub(crate) fn config_fingerprint(config: &FractureConfig) -> u64 {
     let mut bytes = Vec::new();
     push_config_bytes(&mut bytes, config);
     faults::fingerprint(&bytes)
@@ -389,11 +389,6 @@ impl JournalWriter {
             path: path.to_owned(),
             file: Mutex::new(file),
         })
-    }
-
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Appends one record frame.

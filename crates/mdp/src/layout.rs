@@ -12,7 +12,7 @@ use crate::geomcache::GeomCache;
 use crate::io::CheckpointIoError;
 use crate::journal::{self, JournalRecord, JournalWriter};
 use maskfrac_baselines::{FallbackFracturer, FallbackOutcome};
-use maskfrac_fracture::{FractureConfig, FractureScratch, FractureStatus};
+use maskfrac_fracture::{faults, FractureConfig, FractureScratch, FractureStatus};
 use maskfrac_geom::{canonicalize, Canonical, Point, Polygon, Rect, D4};
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
@@ -130,7 +130,8 @@ impl Layout {
 
     /// Bounding box of all placed instances, or `None` for an empty
     /// placement list.
-    pub fn bbox(&self) -> Option<Rect> {
+    #[cfg(test)]
+    pub(crate) fn bbox(&self) -> Option<Rect> {
         self.placements
             .iter()
             .map(|(name, p)| {
@@ -252,7 +253,8 @@ impl LayoutFractureReport {
 
     /// Total distinct-shape fracturing runtime (the MDP compute cost),
     /// seconds.
-    pub fn total_runtime_s(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn total_runtime_s(&self) -> f64 {
         self.per_shape.iter().map(|s| s.runtime_s).sum()
     }
 
@@ -274,18 +276,6 @@ impl LayoutFractureReport {
         }
         counts
     }
-
-    /// Names of shapes whose status needs review (anything not `Ok`),
-    /// sorted worst first.
-    pub fn shapes_needing_review(&self) -> Vec<&ShapeFractureStats> {
-        let mut flagged: Vec<&ShapeFractureStats> = self
-            .per_shape
-            .iter()
-            .filter(|s| s.status.needs_review())
-            .collect();
-        flagged.sort_by(|a, b| b.status.cmp(&a.status).then_with(|| a.shape.cmp(&b.shape)));
-        flagged
-    }
 }
 
 /// Options for [`fracture_layout_opts`].
@@ -299,8 +289,8 @@ pub struct LayoutOptions {
     /// entry independently — the reference run the flat-layout drift
     /// gate compares the cached driver against).
     pub dedup_cache: bool,
-    /// Root directory of the persistent geometry-cache tier
-    /// ([`crate::geomcache`]); `None` disables it. When set, freshly
+    /// Root directory of the persistent geometry-cache tier; `None`
+    /// disables it. When set, freshly
     /// computed canonical geometries are persisted and later runs load
     /// them instead of re-fracturing (`disk` cache label,
     /// `mdp.geomcache.*` counters).
@@ -430,7 +420,6 @@ pub fn fracture_layout_journaled(
     } else {
         JournalWriter::create(&checkpoint.path, fingerprint)?
     };
-    maskfrac_obs::counter!("mdp.journal.replayed").add(replay.len() as u64);
     let state = JournalState {
         writer,
         replay,
@@ -503,6 +492,14 @@ fn drive_layout(
 ) -> LayoutFractureReport {
     let _span = maskfrac_obs::span("mdp.fracture_layout");
     let threads = options.threads.clamp(1, MAX_LAYOUT_THREADS);
+    // A result bent by an injected in-process fault must not outlive its
+    // run: such a run neither loads nor stores geometry-cache artifacts
+    // and neither replays nor appends journal records.
+    let persist = !faults::alters_results();
+    let journal = journal.filter(|_| persist);
+    if let Some(state) = journal {
+        maskfrac_obs::counter!("mdp.journal.replayed").add(state.replay.len() as u64);
+    }
     let counts = layout.placement_counts();
     // Canonicalize up front: every cache tier — in-flight, journal, and
     // persistent — keys on the canonical form, so mirrored/rotated
@@ -527,16 +524,20 @@ fn drive_layout(
         // The persistent tier is strictly optional: a directory that
         // cannot be opened degrades to an uncached run (stderr warning),
         // exactly like a failing journal append.
-        geomcache: options.geom_cache.as_deref().and_then(|root| {
-            GeomCache::open(root, config)
-                .map_err(|e| {
-                    eprintln!(
-                        "maskfrac: geometry cache disabled ({}): {e}",
-                        root.display()
-                    )
-                })
-                .ok()
-        }),
+        geomcache: options
+            .geom_cache
+            .as_deref()
+            .filter(|_| persist)
+            .and_then(|root| {
+                GeomCache::open(root, config)
+                    .map_err(|e| {
+                        eprintln!(
+                            "maskfrac: geometry cache disabled ({}): {e}",
+                            root.display()
+                        )
+                    })
+                    .ok()
+            }),
         // Shapes placed under different names but with D4-equivalent
         // geometry produce one shared result (the whole pipeline —
         // including fault fingerprints — is a function of canonical
@@ -685,8 +686,9 @@ impl Driver<'_> {
     /// Fractures one library entry's canonical geometry, or loads it
     /// from the persistent tier. A disk load is re-journaled so a resume
     /// stays self-contained without the cache directory; a fresh result
-    /// is journaled and persisted. Returns the record and whether it
-    /// came from disk.
+    /// is journaled and persisted unless its deadline cut it short (it
+    /// then depends on wall clock, and a later run may do better).
+    /// Returns the record and whether it came from disk.
     fn fracture(
         &self,
         item: &WorkItem<'_>,
@@ -702,6 +704,9 @@ impl Driver<'_> {
         }
         let outcome = fracturer.fracture_with(&item.canonical.polygon, scratch);
         let record = outcome_record(item.geometry, outcome);
+        if record.deadline_hit {
+            return (record, false);
+        }
         if let Some(state) = self.journal {
             append_journal_record(state, &record);
         }
@@ -894,7 +899,6 @@ mod tests {
         let report =
             fracture_layout_opts(&demo_layout(), &FractureConfig::default(), &with_threads(2));
         assert_eq!(report.worst_status(), FractureStatus::Ok);
-        assert!(report.shapes_needing_review().is_empty());
         for s in &report.per_shape {
             assert_eq!(s.status, FractureStatus::Ok);
             assert_eq!(s.method, "ours");
@@ -924,9 +928,6 @@ mod tests {
         let counts = report.status_counts();
         assert_eq!(counts[&FractureStatus::Ok], 2);
         assert_eq!(counts[&FractureStatus::Fallback], 1);
-        let review = report.shapes_needing_review();
-        assert_eq!(review.len(), 1);
-        assert_eq!(review[0].shape, "sliver");
     }
 
     #[test]
@@ -977,6 +978,13 @@ mod tests {
         }
     }
 
+    /// Holds an inert fault plan for a test that persists results: a
+    /// fault plan armed by a concurrent test would switch persistence
+    /// off underneath it.
+    fn inert_faults() -> maskfrac_fracture::FaultScope {
+        maskfrac_fracture::faults::arm_scoped(maskfrac_fracture::FaultPlan::uniform(0, 0.0))
+    }
+
     fn tmp_journal(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("maskfrac-layout-tests");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1002,6 +1010,7 @@ mod tests {
 
     #[test]
     fn journaled_run_then_resume_is_bit_identical() {
+        let _faults = inert_faults();
         let layout = demo_layout();
         let cfg = FractureConfig::default();
         let opts = LayoutOptions::default();
@@ -1226,6 +1235,7 @@ mod tests {
 
     #[test]
     fn shot_output_is_identical_across_cache_tiers() {
+        let _faults = inert_faults();
         // The same cell served fresh, from the in-flight dedup cache,
         // from the persistent tier and from a checkpoint journal must
         // yield byte-identical shots and the same report row.
@@ -1306,6 +1316,7 @@ mod tests {
 
     #[test]
     fn journal_and_cache_agree_on_geometry_fingerprints() {
+        let _faults = inert_faults();
         // The journal persists the same stable FNV-1a fingerprints the
         // in-flight cache keys on: a save/load round trip must come back
         // with exactly the canonical fingerprints of the fractured

@@ -43,7 +43,7 @@
 
 mod cache;
 pub mod cost;
-pub mod geomcache;
+mod geomcache;
 pub mod io;
 pub mod journal;
 pub mod layout;
@@ -51,16 +51,11 @@ pub mod ordering;
 pub mod writetime;
 
 pub use cost::{CostModel, MaskCostReport};
-pub use geomcache::{GeomCache, GEOMCACHE_MAGIC, GEOMCACHE_VERSION};
 pub use ordering::{order_shots, OrderingReport};
 pub use io::{
-    load_layout, parse_layout, save_layout, write_layout, CheckpointIoError, LayoutIoError,
-    ParseLayoutError,
+    load_layout, parse_layout, write_layout, CheckpointIoError, LayoutIoError, ParseLayoutError,
 };
-pub use journal::{
-    config_fingerprint, read_journal, run_fingerprint, JournalReplay, JournalRecord,
-    JournalWriter, JOURNAL_MAGIC, JOURNAL_VERSION,
-};
+pub use journal::{read_journal, JournalRecord, JournalReplay, JournalWriter};
 pub use layout::{
     fracture_layout_journaled, fracture_layout_opts, CheckpointOptions, Layout,
     LayoutFractureReport, LayoutOptions, Placement, ShapeFractureStats, MAX_LAYOUT_THREADS,

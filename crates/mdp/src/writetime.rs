@@ -77,7 +77,7 @@ impl WriteTimeModel {
     /// (negative = faster). With per-shot costs dominating, this tracks
     /// the shot-count change almost exactly — the proportionality the
     /// paper leans on.
-    pub fn relative_change(&self, before: u64, after: u64) -> f64 {
+    pub(crate) fn relative_change(&self, before: u64, after: u64) -> f64 {
         let b = self.estimate(before).total_s();
         if b == 0.0 {
             return 0.0;

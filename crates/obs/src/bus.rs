@@ -9,15 +9,15 @@
 //! This module adds a process-global publish/subscribe layer next to
 //! the capture buffers:
 //!
-//! * **Publishers never block.** [`publish`] is called from worker
+//! * **Publishers never block.** `publish` is called from worker
 //!   threads on the fracture hot path; it takes only bounded
 //!   `try_lock`s on subscriber rings (a few spins, never a park). A
 //!   persistently contended or full ring means the event is *dropped
 //!   for that subscriber* and `obs.bus.dropped` is incremented — a
 //!   stalled scraper can never stall a worker.
-//! * **Each subscriber owns a bounded ring.** [`subscribe`] hands back
-//!   a [`BusSubscriber`] with its own FIFO of cloned events; slow
-//!   consumers only ever lose their *own* events.
+//! * **Each subscriber owns a bounded ring.** `subscribe_with_capacity`
+//!   hands back a `BusSubscriber` with its own FIFO of cloned events;
+//!   slow consumers only ever lose their *own* events.
 //! * **Zero cost when idle.** With no live subscribers the fast path
 //!   is a single relaxed atomic load ([`has_subscribers`]) and the
 //!   event is never even constructed by the emission sites in
@@ -40,13 +40,6 @@ use std::time::{Duration, Instant};
 
 use crate::counter;
 use crate::event::Event;
-
-/// Ring capacity used by [`subscribe`].
-///
-/// Sized for scrape-style consumers that drain at least every few
-/// hundred milliseconds; a full smoke-layout run fits several times
-/// over.
-pub const DEFAULT_SUBSCRIBER_CAPACITY: usize = 4096;
 
 /// One subscriber's bounded FIFO plus its wakeup signal.
 struct Ring {
@@ -102,7 +95,7 @@ fn bus() -> &'static Bus {
     })
 }
 
-/// True when at least one [`BusSubscriber`] is alive.
+/// True when at least one `BusSubscriber` is alive.
 ///
 /// This is the emission gate checked (alongside file capture) by the
 /// span/point sinks in [`crate::event`]; it is a single relaxed atomic
@@ -114,13 +107,8 @@ pub fn has_subscribers() -> bool {
 
 /// The number of live [`BusSubscriber`]s (reported by `/healthz`).
 #[inline]
-pub fn live_subscribers() -> usize {
+pub(crate) fn live_subscribers() -> usize {
     bus().live.load(Ordering::Relaxed)
-}
-
-/// Subscribes to the bus with [`DEFAULT_SUBSCRIBER_CAPACITY`].
-pub fn subscribe() -> BusSubscriber {
-    subscribe_with_capacity(DEFAULT_SUBSCRIBER_CAPACITY)
 }
 
 /// Subscribes with an explicit ring capacity (clamped to ≥ 1).
@@ -128,7 +116,7 @@ pub fn subscribe() -> BusSubscriber {
 /// Once the ring holds `capacity` undrained events, further events
 /// are dropped for this subscriber (and counted in
 /// `obs.bus.dropped`) until it drains.
-pub fn subscribe_with_capacity(capacity: usize) -> BusSubscriber {
+pub(crate) fn subscribe_with_capacity(capacity: usize) -> BusSubscriber {
     let capacity = capacity.max(1);
     let ring = Arc::new(Ring {
         queue: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
@@ -154,7 +142,7 @@ pub fn subscribe_with_capacity(capacity: usize) -> BusSubscriber {
 /// `obs.bus.published` is incremented once, and for each subscriber
 /// whose ring is full or momentarily contended the event is dropped
 /// and `obs.bus.dropped` incremented instead of waiting.
-pub fn publish(event: &Event) {
+pub(crate) fn publish(event: &Event) {
     let b = bus();
     if b.live.load(Ordering::Relaxed) == 0 {
         return;
@@ -197,7 +185,7 @@ pub fn publish(event: &Event) {
 /// Dropping the subscriber deactivates the ring; publishers skip it
 /// from then on and it is pruned from the list on the next subscribe.
 #[derive(Debug)]
-pub struct BusSubscriber {
+pub(crate) struct BusSubscriber {
     ring: Arc<Ring>,
 }
 
@@ -213,7 +201,7 @@ impl std::fmt::Debug for Ring {
 
 impl BusSubscriber {
     /// Takes every queued event without waiting.
-    pub fn try_drain(&self) -> Vec<Event> {
+    pub(crate) fn try_drain(&self) -> Vec<Event> {
         self.ring.queue().drain(..).collect()
     }
 
@@ -223,7 +211,7 @@ impl BusSubscriber {
     /// lock; publishers contending with it drop to this subscriber
     /// only during the brief dequeue windows, not for the whole wait
     /// (the condvar releases the lock while parked).
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Event> {
+    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Option<Event> {
         let deadline = Instant::now() + timeout;
         let mut queue = self.ring.queue();
         loop {
@@ -241,11 +229,6 @@ impl BusSubscriber {
                 .unwrap_or_else(|p| p.into_inner());
             queue = next;
         }
-    }
-
-    /// The ring capacity this subscriber was created with.
-    pub fn capacity(&self) -> usize {
-        self.ring.capacity
     }
 }
 

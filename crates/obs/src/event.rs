@@ -17,10 +17,10 @@
 //!
 //! * spans emit `span_begin`/`span_end` pairs (same `span_id`) via the
 //!   existing [`span`](crate::span()) guards — no call sites change;
-//! * [`point`] / [`point_with`] add instantaneous records parented to the
+//! * [`point_with`] adds instantaneous records parented to the
 //!   innermost open span of the calling thread;
 //! * [`drain`] flushes every thread buffer at run end;
-//! * [`write_jsonl`] serializes the native JSON Lines form and
+//! * `write_jsonl` serializes the native JSON Lines form and
 //!   [`chrome_trace_json`] the Chrome trace format (`--trace-out`,
 //!   loadable in Perfetto or `chrome://tracing`).
 //!
@@ -34,7 +34,9 @@
 //! Capture is observational only: enabling it never changes pipeline
 //! results (asserted by the bit-neutrality tests).
 
-use crate::json::{self, Value};
+#[cfg(test)]
+use crate::json;
+use crate::json::Value;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::io::{self, Write};
@@ -86,7 +88,7 @@ pub enum EventKind {
     SpanBegin,
     /// A span closed; `fields.elapsed_us` carries its duration.
     SpanEnd,
-    /// An instantaneous point record ([`point`] / [`point_with`]).
+    /// An instantaneous point record ([`point_with`]).
     Point,
 }
 
@@ -173,7 +175,7 @@ thread_local! {
 
 /// Dense id of the calling thread, assigned on first use (also used by
 /// the `--trace` stderr tree to prefix lines).
-pub fn thread_id() -> u32 {
+pub(crate) fn thread_id() -> u32 {
     THREAD_ID.with(|cell| {
         let id = cell.get();
         if id != u32::MAX {
@@ -299,14 +301,9 @@ pub(crate) fn end_span(name: &'static str, token: SpanToken, elapsed_us: u64) {
     );
 }
 
-/// Records an instantaneous event parented to the innermost open span of
-/// the calling thread. A no-op (two relaxed atomic loads) when capture
-/// is off and no bus subscriber is live.
-pub fn point(name: &str) {
-    point_with(name, []);
-}
-
-/// [`point`] with structured fields.
+/// Records an instantaneous event with structured fields, parented to
+/// the innermost open span of the calling thread. A no-op (two relaxed
+/// atomic loads) when capture is off and no bus subscriber is live.
 pub fn point_with<const N: usize>(name: &str, fields: [(&str, FieldValue); N]) {
     let captured = capture_enabled();
     if !captured && !crate::bus::has_subscribers() {
@@ -406,10 +403,9 @@ pub fn validate(events: &[Event]) -> Result<(), String> {
     Ok(())
 }
 
-/// Serializes one event as the JSON object [`read_jsonl`] parses. Public
-/// because the telemetry server's `/events` endpoint streams exactly
-/// these lines as NDJSON.
-pub fn event_json_line(e: &Event) -> String {
+/// Serializes one event as one JSON Lines object; the telemetry
+/// server's `/events` endpoint streams exactly these lines as NDJSON.
+pub(crate) fn event_json_line(e: &Event) -> String {
     let mut row = vec![
         ("ts_us", Value::from(e.ts_us)),
         ("thread", e.thread.into()),
@@ -430,7 +426,7 @@ pub fn event_json_line(e: &Event) -> String {
 /// # Errors
 ///
 /// Propagates I/O errors from the writer.
-pub fn write_jsonl<W: Write>(events: &[Event], mut w: W) -> io::Result<()> {
+pub(crate) fn write_jsonl<W: Write>(events: &[Event], mut w: W) -> io::Result<()> {
     for e in events {
         w.write_all(event_json_line(e).as_bytes())?;
         w.write_all(b"\n")?;
@@ -444,7 +440,8 @@ pub fn write_jsonl<W: Write>(events: &[Event], mut w: W) -> io::Result<()> {
 /// # Errors
 ///
 /// The first malformed line aborts parsing with its error.
-pub fn read_jsonl(bytes: &[u8]) -> io::Result<Vec<Event>> {
+#[cfg(test)]
+fn read_jsonl(bytes: &[u8]) -> io::Result<Vec<Event>> {
     let text = std::str::from_utf8(bytes)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     let mut events = Vec::new();
@@ -460,6 +457,7 @@ pub fn read_jsonl(bytes: &[u8]) -> io::Result<Vec<Event>> {
     Ok(events)
 }
 
+#[cfg(test)]
 fn event_from_json(v: &Value) -> Result<Event, json::Error> {
     let label = v.field("kind")?.to_str()?;
     let kind = [EventKind::SpanBegin, EventKind::SpanEnd, EventKind::Point]
@@ -487,6 +485,7 @@ fn event_from_json(v: &Value) -> Result<Event, json::Error> {
 
 /// A field payload: non-negative integers are `U64`, other numbers
 /// `F64`, strings `Str`.
+#[cfg(test)]
 fn field_from_json(v: &Value) -> Result<FieldValue, json::Error> {
     match v {
         Value::U64(n) => Ok(FieldValue::U64(*n)),
@@ -593,7 +592,7 @@ mod tests {
         // Not under the lock: capture may be on from a concurrent test, so
         // only assert the cheap invariant that our own point is absent.
         set_capture(false);
-        point("t.event.invisible");
+        point_with("t.event.invisible", []);
         let events = drain();
         assert!(events.iter().all(|e| e.name != "t.event.invisible"));
     }
@@ -604,7 +603,7 @@ mod tests {
             {
                 let _outer = crate::span("t.event.outer");
                 let _inner = crate::span("t.event.inner");
-                point("t.event.tick");
+                point_with("t.event.tick", []);
             }
             drain()
         });
@@ -680,7 +679,7 @@ mod tests {
         let events = with_capture_lock(|| {
             {
                 let _s = crate::span("t.event.chrome");
-                point("t.event.instant");
+                point_with("t.event.instant", []);
             }
             drain()
         });

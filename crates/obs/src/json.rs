@@ -20,7 +20,7 @@
 //! use maskfrac_obs::json::{self, Value};
 //!
 //! let doc = Value::object([("id", "Clip-1".into()), ("shots", 12u64.into())]);
-//! assert_eq!(doc.compact(), r#"{"id":"Clip-1","shots":12}"#);
+//! assert_eq!(doc.pretty(), "{\n  \"id\": \"Clip-1\",\n  \"shots\": 12\n}");
 //! let back = json::parse(&doc.pretty()).expect("valid JSON");
 //! assert_eq!(back, doc);
 //! assert_eq!(back["shots"].as_u64(), Some(12));
@@ -132,7 +132,7 @@ impl Value {
     }
 
     /// The boolean, or an error.
-    pub fn to_bool(&self) -> Result<bool, Error> {
+    pub(crate) fn to_bool(&self) -> Result<bool, Error> {
         match *self {
             Value::Bool(b) => Ok(b),
             _ => Err(self.expected("a boolean")),
@@ -140,13 +140,13 @@ impl Value {
     }
 
     /// The non-negative integer, or an error.
-    pub fn to_u64(&self) -> Result<u64, Error> {
+    pub(crate) fn to_u64(&self) -> Result<u64, Error> {
         self.as_u64()
             .ok_or_else(|| self.expected("a non-negative integer"))
     }
 
     /// The integer as `usize`, or an error.
-    pub fn to_usize(&self) -> Result<usize, Error> {
+    pub(crate) fn to_usize(&self) -> Result<usize, Error> {
         usize::try_from(self.to_u64()?).map_err(|_| self.expected("an integer fitting usize"))
     }
 
@@ -165,7 +165,7 @@ impl Value {
     }
 
     /// The number, or an error.
-    pub fn to_f64(&self) -> Result<f64, Error> {
+    pub(crate) fn to_f64(&self) -> Result<f64, Error> {
         match *self {
             Value::U64(n) => Ok(n as f64),
             Value::I64(n) => Ok(n as f64),
@@ -208,14 +208,14 @@ impl Value {
     }
 
     /// The document on one line, with no whitespace.
-    pub fn compact(&self) -> String {
+    pub(crate) fn compact(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, None);
         out
     }
 
     /// Appends the compact form to `out`.
-    pub fn write_compact(&self, out: &mut String) {
+    pub(crate) fn write_compact(&self, out: &mut String) {
         self.write(out, None);
     }
 
@@ -415,7 +415,7 @@ fn write_f64(out: &mut String, x: f64) {
 
 /// Deepest nesting [`parse`] accepts, so hostile input cannot overflow
 /// the stack.
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// Parses one JSON document (surrounding whitespace allowed).
 ///

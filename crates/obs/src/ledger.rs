@@ -6,12 +6,12 @@
 //! things an operator actually scans first in a
 //! [`RunReport`](crate::RunReport) v2:
 //!
-//! * a **worst-K outlier table** ([`worst_outliers`]) — the shapes that
+//! * a **worst-K outlier table** (`worst_outliers`) — the shapes that
 //!   dominated the wall clock, with their shot counts and statuses;
 //! * **anomaly flags** ([`Anomalies`]) — which shapes hit the deadline,
 //!   fell back to a baseline, failed outright, or finished with residual
 //!   violating pixels. Id lists are truncated to
-//!   [`MAX_ANOMALY_IDS`] entries (counts stay exact) so a pathological
+//!   `MAX_ANOMALY_IDS` entries (counts stay exact) so a pathological
 //!   run cannot bloat the report.
 //!
 //! The ledger itself is the `shapes` array: one record per library
@@ -22,10 +22,10 @@
 use crate::report::ShapeRecord;
 
 /// How many shapes the worst-K outlier table keeps.
-pub const OUTLIER_K: usize = 10;
+pub(crate) const OUTLIER_K: usize = 10;
 
 /// Cap on every anomaly id list; the `*_count` fields stay exact.
-pub const MAX_ANOMALY_IDS: usize = 32;
+pub(crate) const MAX_ANOMALY_IDS: usize = 32;
 
 /// Cache-outcome labels a [`ShapeRecord::cache`] may carry. The empty
 /// string is also accepted (records from paths without a dedup cache).
@@ -49,7 +49,7 @@ pub struct OutlierRow {
 }
 
 /// Shape-level anomaly flags of one run. Each list carries at most
-/// [`MAX_ANOMALY_IDS`] shape ids; the paired count is always exact.
+/// `MAX_ANOMALY_IDS` shape ids; the paired count is always exact.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Anomalies {
     /// Shapes whose refinement was cut short by the wall-clock deadline.
@@ -73,7 +73,8 @@ pub struct Anomalies {
 
 impl Anomalies {
     /// Whether no shape raised any flag.
-    pub fn is_clean(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_clean(&self) -> bool {
         self.deadline_hit_count == 0
             && self.fallback_count == 0
             && self.failed_count == 0
@@ -113,7 +114,7 @@ impl Anomalies {
 }
 
 /// Flags every anomalous shape among `shapes`.
-pub fn flag_anomalies(shapes: &[ShapeRecord]) -> Anomalies {
+pub(crate) fn flag_anomalies(shapes: &[ShapeRecord]) -> Anomalies {
     let mut a = Anomalies::default();
     let push = (|count: &mut u64, ids: &mut Vec<String>, id: &str| {
         *count += 1;
@@ -139,7 +140,7 @@ pub fn flag_anomalies(shapes: &[ShapeRecord]) -> Anomalies {
 
 /// The worst-`k` shapes by runtime, slowest first (ties broken by id so
 /// the table is deterministic).
-pub fn worst_outliers(shapes: &[ShapeRecord], k: usize) -> Vec<OutlierRow> {
+pub(crate) fn worst_outliers(shapes: &[ShapeRecord], k: usize) -> Vec<OutlierRow> {
     let mut rows: Vec<&ShapeRecord> = shapes.iter().collect();
     rows.sort_by(|a, b| {
         b.runtime_s

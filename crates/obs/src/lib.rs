@@ -70,10 +70,7 @@ pub mod report;
 pub mod serve;
 pub mod span;
 
-pub use bus::{subscribe, subscribe_with_capacity, BusSubscriber};
-pub use event::{
-    capture_enabled, point, point_with, set_capture, Event, EventKind, FieldValue,
-};
+pub use event::{capture_enabled, point_with, set_capture, Event, EventKind, FieldValue};
 pub use expo::{prometheus_text, sanitize_metric_name, ExpositionSnapshot, HistogramSeries};
 pub use ledger::{Anomalies, OutlierRow};
 pub use metrics::{
@@ -83,4 +80,4 @@ pub use metrics::{
 pub use progress::{ProgressSampler, ProgressSnapshot};
 pub use report::{RunReport, ShapeRecord, SCHEMA_NAME, SCHEMA_VERSION};
 pub use serve::TelemetryServer;
-pub use span::{set_trace, span, trace_enabled, SpanGuard};
+pub use span::{set_trace, span, SpanGuard};

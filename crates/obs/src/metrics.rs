@@ -134,7 +134,7 @@ impl Histogram {
     }
 
     /// Snapshot of the distribution so far.
-    pub fn summary(&self) -> HistogramSummary {
+    pub(crate) fn summary(&self) -> HistogramSummary {
         HistogramSummary::from_state(&self.lock())
     }
 
@@ -143,7 +143,7 @@ impl Histogram {
     /// The Prometheus exposition ([`crate::expo`]) synthesizes
     /// cumulative buckets from this sample (exact up to the reservoir
     /// cap, a deterministic stride sample of the stream beyond it).
-    pub fn samples(&self) -> Vec<f32> {
+    pub(crate) fn samples(&self) -> Vec<f32> {
         self.lock().samples.clone()
     }
 
@@ -209,7 +209,8 @@ impl HistogramSummary {
     }
 
     /// Mean observation, or 0 for an empty histogram.
-    pub fn mean(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -241,7 +242,8 @@ pub struct StageStats {
 
 impl StageStats {
     /// Mean span duration in seconds, or 0 when no spans completed.
-    pub fn mean_s(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean_s(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -276,7 +278,7 @@ pub struct Registry {
 impl Registry {
     /// Creates an empty registry (tests only; production code uses
     /// [`registry`]).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Registry::default()
     }
 
@@ -285,7 +287,7 @@ impl Registry {
     /// The returned handle is `'static`: hoist it out of hot loops (or use
     /// the [`counter!`](crate::counter!) caching macro) to skip the map
     /// lookup.
-    pub fn counter(&self, name: &'static str) -> &'static Counter {
+    pub(crate) fn counter(&self, name: &'static str) -> &'static Counter {
         if let Some(c) = self.read(&self.counters).get(name) {
             return c;
         }
@@ -301,7 +303,7 @@ impl Registry {
     }
 
     /// Records one completed span of `name` lasting `elapsed`.
-    pub fn record_span(&self, name: &'static str, elapsed: Duration) {
+    pub(crate) fn record_span(&self, name: &'static str, elapsed: Duration) {
         Self::get_or_insert(&self.spans, name).record(elapsed.as_secs_f64());
     }
 

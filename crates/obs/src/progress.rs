@@ -115,7 +115,7 @@ impl Sources {
     }
 }
 
-/// One progress observation; [`line`](Self::line) renders the stderr row.
+/// One progress observation; `line` renders the stderr row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgressSnapshot {
     /// Seconds since the sampler started.
@@ -140,7 +140,7 @@ pub struct ProgressSnapshot {
 
 impl ProgressSnapshot {
     /// Renders the snapshot as the stderr progress line (no newline).
-    pub fn line(&self) -> String {
+    pub(crate) fn line(&self) -> String {
         let shapes = match self.total_shapes {
             Some(total) => format!("{}/{}", self.shapes_done, total),
             None => self.shapes_done.to_string(),
@@ -359,7 +359,7 @@ mod tests {
         // The sampler's subscription makes the bus live, so points emit
         // even with file capture off.
         for _ in 0..5 {
-            crate::event::point("t.progress.bus_ping");
+            crate::event::point_with("t.progress.bus_ping", []);
             std::thread::sleep(Duration::from_millis(5));
         }
         let snap = sampler.stop().expect("final snapshot");

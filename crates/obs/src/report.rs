@@ -37,7 +37,7 @@ pub const SCHEMA_VERSION: u32 = 2;
 
 /// Counter-name prefix whose suffixes are mirrored into
 /// [`RunReport::statuses`] (e.g. `fracture.status.ok`).
-pub const STATUS_COUNTER_PREFIX: &str = "fracture.status.";
+pub(crate) const STATUS_COUNTER_PREFIX: &str = "fracture.status.";
 
 const KNOWN_STATUSES: [&str; 4] = ["ok", "degraded", "fallback", "failed"];
 
@@ -61,13 +61,13 @@ pub struct RunReport {
     /// Histogram summaries, keyed by histogram name.
     pub histograms: BTreeMap<String, HistogramSummary>,
     /// Shape-outcome roll-up: [`FractureStatus`] label → shape count.
-    /// Mirrored from counters prefixed [`STATUS_COUNTER_PREFIX`].
+    /// Mirrored from counters prefixed `STATUS_COUNTER_PREFIX`.
     ///
     /// [`FractureStatus`]: https://docs.rs/maskfrac-fracture
     pub statuses: BTreeMap<String, u64>,
     /// Optional per-shape ledger rows (see [`RunReport::with_shapes`]).
     pub shapes: Vec<ShapeRecord>,
-    /// Worst-[`ledger::OUTLIER_K`] shapes by runtime, slowest first.
+    /// Worst-`ledger::OUTLIER_K` shapes by runtime, slowest first.
     /// Derived from `shapes` by [`RunReport::with_shapes`].
     pub outliers: Vec<OutlierRow>,
     /// Shape-level anomaly flags (deadline / fallback / failed /
@@ -121,7 +121,7 @@ impl RunReport {
     ///
     /// Counters named `fracture.status.<label>` are mirrored into
     /// [`RunReport::statuses`] keyed by `<label>`.
-    pub fn from_snapshot(binary: &str, wall_time_s: f64, snapshot: MetricsSnapshot) -> Self {
+    pub(crate) fn from_snapshot(binary: &str, wall_time_s: f64, snapshot: MetricsSnapshot) -> Self {
         let statuses = snapshot
             .counters
             .iter()

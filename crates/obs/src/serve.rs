@@ -14,7 +14,7 @@
 //! answer one request and disconnect, `/events` subscribes to the
 //! broadcast bus ([`crate::bus`]) and streams one JSON event object
 //! per line (the same encoding as the `--events-out` artifact, see
-//! [`crate::event::event_json_line`]) until the client hangs up or the
+//! `crate::event::event_json_line`) until the client hangs up or the
 //! server shuts down. A stalled `/events` client only ever loses its
 //! own events (bounded ring, drop-not-block) — it cannot slow a
 //! worker.
@@ -350,7 +350,7 @@ mod tests {
         let mut collected = String::new();
         let mut buf = [0u8; 4096];
         for _ in 0..100 {
-            crate::event::point("t.serve.streamed");
+            crate::event::point_with("t.serve.streamed", []);
             match stream.read(&mut buf) {
                 Ok(0) => break,
                 Ok(n) => collected.push_str(&String::from_utf8_lossy(&buf[..n])),

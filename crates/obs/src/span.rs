@@ -17,7 +17,7 @@
 //! ```
 //!
 //! Each line is prefixed with the emitting thread's dense id
-//! ([`crate::event::thread_id`]), so the interleaved output of a
+//! (`crate::event::thread_id`), so the interleaved output of a
 //! multi-threaded layout run separates into per-worker trees (`grep
 //! 't03'` recovers worker 3's tree). The indent depth is also
 //! thread-local, so every worker prints its own coherent nesting.
@@ -52,7 +52,7 @@ pub fn set_trace(enabled: bool) {
 }
 
 /// Whether stderr trace output is currently enabled.
-pub fn trace_enabled() -> bool {
+pub(crate) fn trace_enabled() -> bool {
     TRACE.load(Ordering::Relaxed)
 }
 
@@ -96,12 +96,14 @@ pub struct SpanGuard {
 
 impl SpanGuard {
     /// The span's name.
-    pub fn name(&self) -> &'static str {
+    #[cfg(test)]
+    pub(crate) fn name(&self) -> &'static str {
         self.name
     }
 
     /// Elapsed seconds since the span opened (the span keeps running).
-    pub fn elapsed_s(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn elapsed_s(&self) -> f64 {
         self.started.elapsed().as_secs_f64()
     }
 }

@@ -29,7 +29,11 @@ fn donut_suite_fractures_with_tiny_residues() {
                 (hb.y0() + hb.y1()) as f64 / 2.0,
             );
             // The hole centre pixel must not print: re-simulate and check.
-            let cls = fracturer.classify_region(&donut);
+            let cls = maskfrac::ebeam::Classification::build_region(
+                &donut,
+                FractureConfig::default().gamma,
+                fracturer.model().support_radius_px() + 2,
+            );
             let mut map =
                 maskfrac::ebeam::IntensityMap::new(fracturer.model().clone(), cls.frame());
             for s in &result.shots {
@@ -71,7 +75,7 @@ fn hole_boundaries_contribute_corner_points() {
     let hole = Polygon::from_rect(Rect::new(35, 35, 65, 65).expect("rect"));
     let donut = Region::new(outer, vec![hole]).expect("hole inside");
     let cls = maskfrac::ebeam::Classification::build_region(&donut, cfg.gamma, 22);
-    let lth = cfg.resolve_lth();
+    let lth = ModelBasedFracturer::new(cfg.clone()).lth();
     let approx = approximate_fracture_region(&donut, &cls, &model, &cfg, lth);
     // Corner points must appear both outside the outer ring and around
     // the hole (strictly inside the outer bbox but near the hole).

@@ -55,7 +55,7 @@ fn concurrent_spans_resolve_parents_and_stay_monotonic() {
                         );
                         {
                             let _inner = obs::span("test.trace.inner");
-                            event::point("test.trace.tick");
+                            event::point_with("test.trace.tick", []);
                         }
                     }
                 });
