@@ -8,7 +8,8 @@
 //! it), incremental intensity maps, and a node budget. When the budget is
 //! not exhausted the returned count is **provably optimal over the
 //! candidate pool** — which makes it the referee for optimality tests of
-//! the heuristics on small shapes.
+//! the heuristics on small shapes. [`FractureConfig::deadline`] bounds
+//! the search's wall clock; a search it cuts returns no solution.
 
 use crate::candidates::pursuit_candidates;
 use crate::MaskFracturer;
@@ -22,6 +23,9 @@ use std::time::Instant;
 /// within it is provably optimal over the candidate pool.
 const NODE_BUDGET: usize = 2_000_000;
 
+/// Search nodes between two reads of the clock against the deadline.
+const DEADLINE_CHECK_NODES: usize = 1024;
+
 /// Result of an exhaustive search.
 #[derive(Debug, Clone)]
 struct ExactOutcome {
@@ -30,6 +34,37 @@ struct ExactOutcome {
     /// Search nodes visited; at most [`NODE_BUDGET`] makes the result
     /// provably optimal.
     nodes: usize,
+    /// Whether the deadline cut the search short.
+    deadline_hit: bool,
+}
+
+/// What one search may still spend: nodes, and wall clock when a
+/// deadline is set.
+#[derive(Debug)]
+struct Budget {
+    nodes: usize,
+    deadline: Option<Instant>,
+    deadline_hit: bool,
+}
+
+impl Budget {
+    /// Whether the search must stop: past the node budget or the
+    /// deadline.
+    fn spent(&self) -> bool {
+        self.nodes > NODE_BUDGET || self.deadline_hit
+    }
+
+    /// Counts one visited node, reading the clock every
+    /// [`DEADLINE_CHECK_NODES`] nodes. The clock never changes which
+    /// nodes a search that runs to completion visits.
+    fn visit(&mut self) {
+        self.nodes += 1;
+        if self.nodes.is_multiple_of(DEADLINE_CHECK_NODES)
+            && self.deadline.is_some_and(|d| Instant::now() >= d)
+        {
+            self.deadline_hit = true;
+        }
+    }
 }
 
 /// The exhaustive-optimal fracturer.
@@ -57,8 +92,14 @@ impl ExhaustiveOptimal {
         ExhaustiveOptimal { config }
     }
 
-    /// Searches for the minimum feasible shot count up to `max_shots`.
-    fn search(&self, target: &Polygon, max_shots: usize) -> ExactOutcome {
+    /// Searches for the minimum feasible shot count up to `max_shots`,
+    /// giving up at `deadline`.
+    fn search(
+        &self,
+        target: &Polygon,
+        max_shots: usize,
+        deadline: Option<Instant>,
+    ) -> ExactOutcome {
         let model = self.config.model();
         let cls = Classification::build(
             target,
@@ -66,21 +107,25 @@ impl ExhaustiveOptimal {
             model.support_radius_px() + 2,
         );
         let pool = pursuit_candidates(target, &cls, &self.config);
-        let mut nodes = 0usize;
-
+        let mut budget = Budget {
+            nodes: 0,
+            deadline,
+            deadline_hit: false,
+        };
+        let mut found: Option<Vec<Rect>> = None;
         for k in 1..=max_shots {
             let mut map = IntensityMap::new(model.clone(), cls.frame());
             let mut chosen: Vec<Rect> = Vec::with_capacity(k);
-            let mut found: Option<Vec<Rect>> = None;
-            self.dfs(&cls, &pool, &mut map, &mut chosen, k, &mut nodes, &mut found);
-            if nodes > NODE_BUDGET || found.is_some() {
-                return ExactOutcome {
-                    shots: found,
-                    nodes,
-                };
+            self.dfs(&cls, &pool, &mut map, &mut chosen, k, &mut budget, &mut found);
+            if budget.spent() || found.is_some() {
+                break;
             }
         }
-        ExactOutcome { shots: None, nodes }
+        ExactOutcome {
+            shots: found,
+            nodes: budget.nodes,
+            deadline_hit: budget.deadline_hit,
+        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -91,13 +136,16 @@ impl ExhaustiveOptimal {
         map: &mut IntensityMap,
         chosen: &mut Vec<Rect>,
         k: usize,
-        nodes: &mut usize,
+        budget: &mut Budget,
         found: &mut Option<Vec<Rect>>,
     ) {
-        if found.is_some() || *nodes > NODE_BUDGET {
+        if found.is_some() || budget.spent() {
             return;
         }
-        *nodes += 1;
+        budget.visit();
+        if budget.deadline_hit {
+            return;
+        }
         let summary = evaluate(cls, map);
         if summary.is_feasible() {
             *found = Some(chosen.clone());
@@ -129,10 +177,10 @@ impl ExhaustiveOptimal {
             }
             chosen.push(*r);
             map.add_shot(r);
-            self.dfs(cls, pool, map, chosen, k, nodes, found);
+            self.dfs(cls, pool, map, chosen, k, budget, found);
             map.remove_shot(r);
             chosen.pop();
-            if found.is_some() || *nodes > NODE_BUDGET {
+            if found.is_some() || budget.spent() {
                 return;
             }
         }
@@ -145,11 +193,13 @@ impl MaskFracturer for ExhaustiveOptimal {
     }
 
     /// Runs the search and packages it as a [`FractureResult`] (selecting
-    /// `max_shots = 6`). Infeasible/unproven searches return the empty
-    /// shot list with the all-failing summary.
+    /// `max_shots = 6`). Infeasible/unproven searches, and searches the
+    /// deadline cuts (`deadline_hit`), return the empty shot list with the
+    /// all-failing summary.
     fn fracture(&self, target: &Polygon) -> FractureResult {
         let start = Instant::now();
-        let outcome = self.search(target, 6);
+        let deadline = self.config.deadline.map(|d| start + d);
+        let outcome = self.search(target, 6, deadline);
         let shots = outcome.shots.unwrap_or_default();
         let summary = maskfrac_fracture::verify_shots(target, &shots, &self.config);
         let status = if summary.is_feasible() {
@@ -166,7 +216,7 @@ impl MaskFracturer for ExhaustiveOptimal {
             summary,
             iterations: outcome.nodes,
             runtime: start.elapsed(),
-            deadline_hit: false,
+            deadline_hit: outcome.deadline_hit,
         }
     }
 }
@@ -183,7 +233,7 @@ mod tests {
     #[test]
     fn square_optimal_is_one() {
         let target = Polygon::from_rect(Rect::new(0, 0, 40, 40).unwrap());
-        let outcome = ExhaustiveOptimal::new(FractureConfig::default()).search(&target, 3);
+        let outcome = ExhaustiveOptimal::new(FractureConfig::default()).search(&target, 3, None);
         assert!(outcome.nodes <= NODE_BUDGET);
         assert_eq!(outcome.shots.unwrap().len(), 1);
     }
@@ -199,7 +249,7 @@ mod tests {
             Point::new(0, 60),
         ])
         .unwrap();
-        let outcome = ExhaustiveOptimal::new(FractureConfig::default()).search(&target, 3);
+        let outcome = ExhaustiveOptimal::new(FractureConfig::default()).search(&target, 3, None);
         assert!(outcome.nodes <= NODE_BUDGET);
         let shots = outcome.shots.unwrap();
         assert_eq!(shots.len(), 2, "{shots:?}");
@@ -224,9 +274,27 @@ mod tests {
             Point::new(25, 25),
         ])
         .unwrap();
-        let outcome = ExhaustiveOptimal::new(FractureConfig::default()).search(&target, 1);
+        let outcome = ExhaustiveOptimal::new(FractureConfig::default()).search(&target, 1, None);
         assert!(outcome.shots.is_none());
         assert!(outcome.nodes <= NODE_BUDGET);
+    }
+
+    #[test]
+    fn deadline_cuts_the_search_short() {
+        let model = FractureConfig::default().model();
+        let agb1 = maskfrac_shapes::generated_suite(&model).swap_remove(0);
+        assert_eq!(agb1.id, "AGB-1");
+        let cfg = FractureConfig {
+            deadline: Some(std::time::Duration::from_millis(50)),
+            ..FractureConfig::default()
+        };
+        let start = Instant::now();
+        let result = ExhaustiveOptimal::new(cfg).fracture(&agb1.polygon);
+        let took = start.elapsed();
+        assert!(result.deadline_hit, "no deadline hit after {took:?}");
+        assert!(took < std::time::Duration::from_secs(2), "took {took:?}");
+        assert_eq!(result.status, maskfrac_fracture::FractureStatus::Failed);
+        assert!(result.shots.is_empty());
     }
 
     #[test]
@@ -245,7 +313,7 @@ mod tests {
                 Polygon::from_rect(Rect::new(0, 0, 90, 20).unwrap()),
             ),
         ] {
-            let best = exact.search(&target, 3);
+            let best = exact.search(&target, 3, None);
             let ours = heuristic.fracture(&target);
             assert!(ours.summary.is_feasible(), "{name}");
             assert_eq!(

@@ -140,7 +140,7 @@ const REFINE_T1_COUNTERS: [(&str, u64); 6] = [
     ("refine.candidates.scored", 33_498),
     ("refine.candidates.screened", 19_200),
     ("refine.candidates.improving", 12_806),
-    ("refine.window.px_scanned", 8_564_976),
+    ("refine.window.px_scanned", 5_878_363),
     ("fracture.refine.iterations", 616),
     ("ebeam.apply.px_tracked", 966_886),
 ];

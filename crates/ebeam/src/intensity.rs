@@ -30,7 +30,9 @@
 //!    path defines the workspace's **bit-exactness contract**: refinement
 //!    baselines, the parity harness and the CI shot-count gates all
 //!    assume edge factors come from this table with this accumulation
-//!    order.
+//!    order. Fills on the pixel grid (the intensity map's updates and the
+//!    strip scorer) read the same `f64` values from `PixelPhi`, the
+//!    model's tabulation of this table at every integer pixel offset.
 //! 2. **Reference quadrature**
 //!    ([`ExposureModel::shot_intensity_truncated_ref`]) — midpoint
 //!    integration of the *truncated* kernel over the kernel–shot
@@ -41,6 +43,7 @@
 use crate::erf::erf;
 use crate::kernel::ProximityKernel;
 use maskfrac_geom::Rect;
+use std::sync::Arc;
 
 /// Resolution of the edge-profile lookup table, in samples per unit of
 /// `t = distance/σ`.
@@ -65,10 +68,28 @@ const LUT_RANGE: f64 = 4.0;
 /// assert!(center > 0.99);
 /// assert!((corner - 0.25).abs() < 1e-3); // two half-edges: 0.5 × 0.5
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct ExposureModel {
     kernel: ProximityKernel,
     rho: f64,
+    /// [`PixelPhi`] of `σ`: shared, so a clone costs a refcount.
+    pixel_phi: Arc<PixelPhi>,
+}
+
+// Equality and `Debug` are those of (σ, ρ): the table is derived from σ.
+impl PartialEq for ExposureModel {
+    fn eq(&self, other: &Self) -> bool {
+        self.kernel == other.kernel && self.rho == other.rho
+    }
+}
+
+impl std::fmt::Debug for ExposureModel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ExposureModel")
+            .field("kernel", &self.kernel)
+            .field("rho", &self.rho)
+            .finish()
+    }
 }
 
 impl ExposureModel {
@@ -83,6 +104,7 @@ impl ExposureModel {
         ExposureModel {
             kernel: ProximityKernel::new(sigma),
             rho,
+            pixel_phi: Arc::new(PixelPhi::new(sigma)),
         }
     }
 
@@ -187,6 +209,27 @@ impl ExposureModel {
         let s = self.sigma();
         let lut = edge_lut();
         lut.phi((b - t) / s) - lut.phi((a - t) / s)
+    }
+
+    /// Fills `out` with the edge factors of the span `[a, b]` at the
+    /// pixel centres `origin + i + 0.5`, one per `i` in `cols` — bit for
+    /// bit `edge_factor(a, b, origin + i + 0.5)`, through [`PixelPhi`]
+    /// instead of the interpolated table. Clears `out` first (grow-only,
+    /// no steady-state allocation).
+    pub(crate) fn fill_pixel_edge_factors(
+        &self,
+        a: i64,
+        b: i64,
+        origin: i64,
+        cols: std::ops::Range<usize>,
+        out: &mut Vec<f64>,
+    ) {
+        let phi = &*self.pixel_phi;
+        out.clear();
+        out.extend(cols.map(|i| {
+            let p = origin + i as i64;
+            phi.at(b - p) - phi.at(a - p)
+        }));
     }
 
     /// Intensity of shot `s` at the continuous point `(x, y)` using the
@@ -308,6 +351,48 @@ impl EdgeLut {
         let frac = pos - i as f64;
         // `i + 1` is in range because t < LUT_RANGE strictly.
         self.values[i] * (1.0 - frac) + self.values[i + 1] * frac
+    }
+}
+
+/// `Φ((n − 0.5)/σ)` through [`EdgeLut::phi`] for every integer `n`: the
+/// profile term of an edge at integer coordinate `e` seen from the centre
+/// of pixel `p`, with `n = e − p`.
+///
+/// Pixel centres sit at `p + 0.5` for integer `p`, so `e − (p + 0.5)` is
+/// exactly `n − 0.5` in `f64` (every operand is a small integer or half
+/// integer), and `edge_factor(a, b, p + 0.5)` is exactly
+/// `at(b − p) − at(a − p)`: the same division, the same table lookup, the
+/// same subtraction. Beyond `|n| ≈ 4σ` the interpolated table saturates
+/// to exactly `0.0` or `1.0`, so the entries span `n` in `lo..lo + len`
+/// with both end entries saturated, and [`at`](Self::at) clamps `n` into
+/// that range. About `8σ` entries (53 at σ = 6.25 nm).
+#[derive(Debug)]
+struct PixelPhi {
+    /// The `n` of `values[0]`.
+    lo: i64,
+    values: Vec<f64>,
+}
+
+impl PixelPhi {
+    fn new(sigma: f64) -> Self {
+        // `(±k − 0.5)/σ` lies at least `0.5/σ` beyond `±4`.
+        let k = (LUT_RANGE * sigma).ceil() as i64 + 1;
+        let lut = edge_lut();
+        let values: Vec<f64> = (-k..=k)
+            .map(|n| lut.phi((n as f64 - 0.5) / sigma))
+            .collect();
+        assert!(
+            values[0] == 0.0 && values[values.len() - 1] == 1.0,
+            "pixel Φ table for σ = {sigma} does not saturate at its ends"
+        );
+        PixelPhi { lo: -k, values }
+    }
+
+    /// `Φ((n − 0.5)/σ)`, bit for bit.
+    #[inline]
+    fn at(&self, n: i64) -> f64 {
+        let last = self.values.len() as i64 - 1;
+        self.values[(n - self.lo).clamp(0, last) as usize]
     }
 }
 
@@ -505,6 +590,37 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The pixel-offset table fills edge factors bit for bit as
+    /// `edge_factor` at the pixel centres, for 1 nm, 2 nm and long spans,
+    /// frame origins of either sign, and windows reaching past both
+    /// saturation ends of the profile.
+    #[test]
+    fn pixel_fill_is_bit_identical_to_edge_factor() {
+        use maskfrac_geom::rng::for_cases;
+        let mut out = Vec::new();
+        for sigma in [3.0, 6.25, 9.0, 25.0] {
+            let m = ExposureModel::new(sigma, 0.5);
+            let reach = (5.0 * sigma) as i64;
+            for_cases(64, |rng| {
+                let a = rng.gen_range(-300..=300);
+                let b = a + [1, 2, rng.gen_range(3..=400)][rng.gen_range(0..=2) as usize];
+                let origin = a - reach - rng.gen_range(0..=40);
+                let cols = (a - reach - origin) as usize..(b + reach - origin) as usize;
+                m.fill_pixel_edge_factors(a, b, origin, cols.clone(), &mut out);
+                assert_eq!((out[0], out[out.len() - 1]), (0.0, 0.0), "σ={sigma}");
+                for (i, &f) in cols.zip(&out) {
+                    let t = origin as f64 + i as f64 + 0.5;
+                    let reference = m.edge_factor(a as f64, b as f64, t);
+                    assert_eq!(
+                        f.to_bits(),
+                        reference.to_bits(),
+                        "σ={sigma} [{a}, {b}] at {t}: table {f} vs {reference}"
+                    );
+                }
+            });
         }
     }
 

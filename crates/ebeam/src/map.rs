@@ -11,8 +11,9 @@
 //! Every update is *separable*: the shot's 2-D intensity over the window
 //! is the outer product of two 1-D edge-profile vectors (`fx` per column,
 //! `fy` per row), so a `w×h` window costs `w + h` profile evaluations —
-//! never `w·h`. Profiles come from `ExposureModel::edge_factor` through
-//! the interpolated edge-profile LUT (see [`crate::intensity`]), and the
+//! never `w·h`. Profiles are `ExposureModel::edge_factor` at the pixel
+//! centres, read from the model's pixel-offset table of the interpolated
+//! edge-profile LUT (see [`crate::intensity`]), and the
 //! multiply-add composition loops are deterministic and sequential per
 //! row: `add_shot` / `remove_shot` and
 //! the row-visiting kernels `IntensityMap::apply_shot_rows` /
@@ -276,7 +277,7 @@ impl IntensityMap {
     /// Fills `fx`/`fy` with the shot's separable edge factors over the
     /// window — one per column/row. Buffers are cleared and re-filled in
     /// place (grow-only, no steady-state allocation).
-    fn fill_edge_factors(
+    pub(crate) fn fill_edge_factors(
         &self,
         shot: &Rect,
         xs: &std::ops::Range<usize>,
@@ -284,16 +285,11 @@ impl IntensityMap {
         fx: &mut Vec<f64>,
         fy: &mut Vec<f64>,
     ) {
-        fx.clear();
-        fy.clear();
-        fx.extend(xs.clone().map(|ix| {
-            let (cx, _) = self.frame.pixel_center(ix, 0);
-            self.model.edge_factor(shot.x0() as f64, shot.x1() as f64, cx)
-        }));
-        fy.extend(ys.clone().map(|iy| {
-            let (_, cy) = self.frame.pixel_center(0, iy);
-            self.model.edge_factor(shot.y0() as f64, shot.y1() as f64, cy)
-        }));
+        let origin = self.frame.origin();
+        self.model
+            .fill_pixel_edge_factors(shot.x0(), shot.x1(), origin.x, xs.clone(), fx);
+        self.model
+            .fill_pixel_edge_factors(shot.y0(), shot.y1(), origin.y, ys.clone(), fy);
     }
 
     fn apply_shot(&mut self, shot: &Rect, sign: f64) {

@@ -133,13 +133,19 @@ fn tile_index(tiles_x: usize, ix: usize, iy: usize) -> usize {
 /// factor of a 1 nm strip (`≈ 0.180` at the paper's σ = 6.25 nm).
 ///
 /// A strip is scored over live pixels only when its peak intensity is at
-/// most half this band. That admits every 1 nm edge strip (its peak is
-/// that edge factor times an along-edge factor `<= 1`) and leaves 2 nm
-/// strips (peak `≈ 0.178`) and whole-shot probes on the dense scan. See
+/// most this band less [`SPARSE_MARGIN`]. That admits every 1 and 2 nm
+/// edge strip (their peaks are at most that band, `≈ 0.090` and `≈ 0.178`
+/// at σ = 6.25 nm, times an along-edge factor `<= 1`) and leaves wider
+/// strips and whole-shot probes on the dense scan. See
 /// `docs/performance.md`, "Live-pixel scoring".
 fn live_band(model: &ExposureModel) -> f64 {
     2.0 * model.edge_factor(0.0, 1.0, 0.5)
 }
+
+/// Slack below the live band that a strip's peak must leave for the
+/// sparse walk: a pixel outside the band still passes the move with at
+/// least this margin, far above `f64` rounding at intensities `<= 1`.
+const SPARSE_MARGIN: f64 = 1e-9;
 
 /// Whether a pixel is live: constrained, and failing or within `band`
 /// of `ρ`.
@@ -407,9 +413,10 @@ impl ViolationTracker {
     ///
     /// Edge factors are `>= 0`, so the move changes no pixel's intensity
     /// by more than the strip's peak `max(fx) · max(fy)`. When that peak
-    /// is at most half the live band, a pixel that is not live passes
-    /// with a margin above twice the peak, still passes after the move,
-    /// and its cost term is an exact `±0.0`. The dense scan's lane
+    /// is at most the live band less a fixed slack `δ = 1e-9`, a pixel
+    /// that is not live passes with a margin above the band, still passes
+    /// after the move with a margin above `δ`, and its cost term is an
+    /// exact `±0.0`. The dense scan's lane
     /// accumulators start at `+0.0` and can never become `−0.0`, so
     /// adding such a term leaves them unchanged: walking only the live
     /// bits of each window row in ascending `ix`, into the same lane
@@ -560,9 +567,7 @@ fn strip_score(
     sign: f64,
     tracker: Option<&ViolationTracker>,
 ) -> StripScore {
-    let model = map.model();
-    let rho = model.rho();
-    let frame = cls.frame();
+    let rho = map.model().rho();
     let (xs, ys) = map.affected_window(strip);
     if xs.is_empty() || ys.is_empty() {
         return StripScore {
@@ -577,20 +582,11 @@ fn strip_score(
     // here was the last steady-state allocation on the scoring path.
     STRIP_FACTORS.with(|cell| {
         let (fx, fy) = &mut *cell.borrow_mut();
-        fx.clear();
-        fx.extend(xs.clone().map(|ix| {
-            let (cx, _) = frame.pixel_center(ix, 0);
-            model.edge_factor(strip.x0() as f64, strip.x1() as f64, cx)
-        }));
-        fy.clear();
-        fy.extend(ys.clone().map(|iy| {
-            let (_, cy) = frame.pixel_center(0, iy);
-            model.edge_factor(strip.y0() as f64, strip.y1() as f64, cy)
-        }));
+        map.fill_edge_factors(strip, &xs, &ys, fx, fy);
         let sparse = tracker.filter(|t| {
             let peak = fx.iter().fold(0.0, |m: f64, &f| m.max(f))
                 * fy.iter().fold(0.0, |m: f64, &f| m.max(f));
-            peak <= 0.5 * t.band
+            peak <= t.band - SPARSE_MARGIN
         });
         let (delta, px_scanned) = match sparse {
             Some(t) => t.live_scored_delta(cls, map, fx, fy, sign, rho, &xs, &ys),

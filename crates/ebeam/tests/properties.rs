@@ -150,9 +150,9 @@ fn edge_strip(rng: &mut StdRng, shot: &Rect, sign: f64) -> Rect {
 /// Live-pixel scoring is bit-identical to the dense window scan: on
 /// random shot sets, through churny tracked mutation sequences and after
 /// a resync, every 1 to 4 nm edge strip of either sign scores to the
-/// same `f64` bits either way. (Only 1 nm strips are narrow enough for
-/// the live-pixel walk; the wider ones check that the tracker falls back
-/// to the dense scan.)
+/// same `f64` bits either way. (Every 1 and 2 nm strip must take the
+/// live-pixel walk; the 3 and 4 nm ones peak above the live band and
+/// check that the tracker falls back to the dense scan.)
 #[test]
 fn tracker_scoring_is_bit_identical_to_the_dense_scan() {
     // An L-shaped target, so random shots leave under- and over-exposed
@@ -169,6 +169,7 @@ fn tracker_scoring_is_bit_identical_to_the_dense_scan() {
     let model = ExposureModel::paper_default();
     let cls = Classification::build(&target, 2.0, model.support_radius_px() + 2);
     let (mut sparse, mut dense, mut negative) = (0usize, 0usize, 0usize);
+    let mut sparse_2nm = 0usize;
     for_cases(64, |rng| {
         let mut map = IntensityMap::new(model.clone(), cls.frame());
         let mut tracker = ViolationTracker::new(&cls, &map);
@@ -187,9 +188,11 @@ fn tracker_scoring_is_bit_identical_to_the_dense_scan() {
                         "{strip} ({sign}): tracker {} vs dense {dense_delta}",
                         score.delta
                     );
-                    // Every 1 nm strip peaks within the live band's margin.
-                    let narrow = strip.width() == 1 || strip.height() == 1;
-                    assert!(score.sparse || !narrow, "{strip} took the dense scan");
+                    // Every 1 and 2 nm strip peaks within the live band's
+                    // margin.
+                    let depth = strip.width().min(strip.height());
+                    assert!(score.sparse || depth > 2, "{strip} took the dense scan");
+                    sparse_2nm += usize::from(depth == 2);
                     if score.sparse {
                         sparse += 1;
                     } else {
@@ -236,8 +239,10 @@ fn tracker_scoring_is_bit_identical_to_the_dense_scan() {
         tracker.resync(&cls, &map);
         check(rng, &map, &tracker, &shots);
     });
-    // Non-vacuous: both scoring paths ran, and some strips improved.
+    // Non-vacuous: both scoring paths ran, 2 nm strips among the sparse
+    // ones, and some strips improved.
     assert!(sparse > 0 && dense > 0, "sparse {sparse}, dense {dense}");
+    assert!(sparse_2nm > 0, "no 2 nm strip was scored");
     assert!(
         negative > 0,
         "no improving strip among {} scored",

@@ -44,13 +44,18 @@ pub enum Fault {
     CrashPoint,
 }
 
-/// Seeded fault schedule: independent rates for each fault kind.
+/// Seeded fault schedule: one rate per fault kind, laid out as
+/// consecutive bands of a single draw.
 ///
-/// For a given probe the unit sample `r = hash(seed, stage, key)` selects
-/// `Panic` when `r < panic_rate`, `Timeout` when
+/// For a given probe the unit sample `r = hash(seed, stage, key)` in
+/// `[0, 1)` selects `Panic` when `r < panic_rate`, `Timeout` when
 /// `r < panic_rate + timeout_rate`, `Infeasible` when
 /// `r < panic_rate + timeout_rate + infeasible_rate`, and `CrashPoint`
-/// when `r` falls in the next `crash_rate`-wide band. Crash probes are
+/// when `r` falls in the next `crash_rate`-wide band. The kinds are
+/// therefore mutually exclusive per probe, and each fires at its rate
+/// only while the bands fit in `[0, 1)`: once the rates sum past 1, the
+/// bands that start past 1 never fire and the one straddling 1 is cut
+/// short. Crash probes are
 /// opt-in: [`FaultPlan::uniform`] keeps `crash_rate` at zero so the
 /// in-process robustness suites never kill their own test binary; use
 /// [`FaultPlan::with_crash_rate`] or [`FaultPlan::only`] to arm crashes.

@@ -50,7 +50,10 @@
 //! the run and land in the run report as `mdp.geomcache.*` counters;
 //! the `--fault-*` flags arm deterministic fault injection (including
 //! `--fault-crash-rate`, which kills the process mid-journal-append —
-//! the crash half of the kill-and-resume test harness). The per-shape
+//! the crash half of the kill-and-resume test harness). `--fault-rate R`
+//! arms panics, timeouts and infeasible residues at `R` each; the four
+//! kinds are consecutive bands of one draw per probe, so `3·R` plus the
+//! crash rate must not exceed 1. The per-shape
 //! fallback ladder and the hung-shape watchdog are fixed and take no
 //! flags.
 
@@ -397,9 +400,20 @@ fn fault_scope_from_flags(
             }
         }
     }
+    let (rate, crash) = (rate.unwrap_or(0.0), crash.unwrap_or(0.0));
+    // One draw per probe picks the fault: panic, timeout and infeasible
+    // bands of width R each, then a crash band, all inside [0, 1).
+    if 3.0 * rate + crash > 1.0 {
+        return Err(format!(
+            "--fault-rate {rate} and --fault-crash-rate {crash} overflow the fault bands: \
+             the panic, timeout and infeasible bands (R each) and the crash band \
+             share one draw, so 3·R + crash rate must be at most 1 (got {})",
+            3.0 * rate + crash
+        )
+        .into());
+    }
     let seed = parsed_flag::<u64>(args, "--fault-seed")?.unwrap_or(0);
-    let plan = maskfrac::fracture::FaultPlan::uniform(seed, rate.unwrap_or(0.0))
-        .with_crash_rate(crash.unwrap_or(0.0));
+    let plan = maskfrac::fracture::FaultPlan::uniform(seed, rate).with_crash_rate(crash);
     Ok(Some(maskfrac::fracture::faults::arm_scoped(plan)))
 }
 

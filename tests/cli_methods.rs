@@ -103,3 +103,23 @@ fn fracture_layout_rejects_supervisor_tuning_flags() {
         );
     }
 }
+
+#[test]
+fn fracture_layout_rejects_overflowing_fault_bands() {
+    let layout = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/layouts/smoke.layout");
+    // 3·R + crash rate > 1: a fault band would start past the draw's end.
+    for flags in [
+        &["--fault-rate", "0.5"][..],
+        &["--fault-rate", "0.3", "--fault-crash-rate", "0.2"][..],
+    ] {
+        let mut args = vec!["fracture-layout", layout];
+        args.extend_from_slice(flags);
+        let run = maskfrac(&args);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(!run.status.success(), "{flags:?} was accepted");
+        assert!(
+            stderr.contains("overflow the fault bands") && stderr.contains("3·R"),
+            "{flags:?}: {stderr}"
+        );
+    }
+}
