@@ -1,11 +1,13 @@
 //! Exhaustive (branch-and-bound) optimal fracturing for tiny shapes.
 //!
 //! The benchmarking work the paper builds on used a 12-hour ILP to bound
-//! the optimal shot count. This module provides the laptop-scale
-//! equivalent for *small* instances: depth-first search over a candidate
-//! pool with set-cover branching (every solution must cover the first
-//! failing `Pon` pixel, so branching is restricted to candidates covering
-//! it), incremental intensity maps, and a node budget. When the budget is
+//! the optimal shot count. This module bounds it for *tiny* instances
+//! only (1–2 shot optima on shapes up to ~90 nm; it solves none of the
+//! generated benchmarks, running out of nodes even where a 3-shot
+//! solution is known): depth-first search over a candidate pool with
+//! set-cover branching (every solution must cover the first failing
+//! `Pon` pixel, so branching is restricted to candidates covering it),
+//! incremental intensity maps, and a node budget. When the budget is
 //! not exhausted the returned count is **provably optimal over the
 //! candidate pool** — which makes it the referee for optimality tests of
 //! the heuristics on small shapes. [`FractureConfig::deadline`] bounds

@@ -9,7 +9,7 @@
 //! 1. **`ours`** — [`ModelBasedFracturer::try_fracture`], the validating
 //!    front door;
 //! 2. **`ours-retry`** — one re-attempt allowing one extra refinement
-//!    iteration, which also draws a fresh fault-injection decision for
+//!    iteration, which also draws a fresh fault injection decision for
 //!    transient injected faults. It runs at once: fault decisions are a
 //!    pure hash of `(seed, stage, key)`, so waiting could not change it;
 //! 3. **`ours-degraded`** — a deliberately coarser configuration
@@ -110,7 +110,7 @@ impl FallbackFracturer {
         };
         // The retry allows one more refinement iteration: a harmless
         // perturbation that changes the per-(shape, config)
-        // fault-injection fingerprint, so it draws an independent
+        // fault injection fingerprint, so it draws an independent
         // decision under injected faults.
         let retry = FractureConfig {
             max_iterations: config.max_iterations.saturating_add(1),
@@ -250,9 +250,10 @@ fn rung_delivered_counter(method: &str) -> &'static str {
 /// The degraded-tier configuration: a deliberately coarser variant of
 /// `config` that finishes fast when the full-budget attempts could not —
 /// a quarter of the iteration budget, no reduction sweep, a single
-/// plateau restart. Validation knobs (`min_shot_size`, `max_extent`,
-/// model parameters) are untouched: a shape the front door rejects is
-/// still rejected here and falls through to the baselines.
+/// plateau restart. Validation knobs (`min_shot_size`, model
+/// parameters) are untouched, and the 4096 nm extent cap is a constant:
+/// a shape the front door rejects is still rejected here and falls
+/// through to the baselines.
 fn degraded_config(config: &FractureConfig) -> FractureConfig {
     FractureConfig {
         max_iterations: (config.max_iterations / 4).max(1),

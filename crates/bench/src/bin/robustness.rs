@@ -1,5 +1,5 @@
 //! Extension experiment: statistical robustness of the Table 2 ranking,
-//! plus the fault-injection hardening harness.
+//! plus the fault injection hardening harness.
 //!
 //! The paper (and our Table 2) evaluates ten fixed clips. The default
 //! mode draws twenty *fresh* random ILT clips and reports the

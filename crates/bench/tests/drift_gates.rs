@@ -1,6 +1,6 @@
 //! Drift gates: pinned shot counts, work counters and suite fingerprints
 //! for the refine, frame, flat-layout, hierarchical-layout and
-//! fault-injection suites.
+//! fault injection suites.
 //!
 //! Every table here is exact. A change that moves one shot, one failing
 //! pixel or one counted candidate fails the gate with a message naming
@@ -85,29 +85,16 @@ impl XorShift64 {
 /// solution.
 type Start<'a> = (&'a str, Classification, Vec<Rect>);
 
-/// Refines every start solution at `threads` scoring threads.
+/// Refines every start solution.
 fn refine_all(
     fracturer: &ModelBasedFracturer,
     base: &FractureConfig,
     starts: &[Start],
-    threads: usize,
 ) -> Vec<RefineOutcome> {
-    let cfg = FractureConfig {
-        refine_threads: threads,
-        ..base.clone()
-    };
     starts
         .iter()
-        .map(|(_, cls, shots)| refine(cls, fracturer.model(), &cfg, shots.clone()))
+        .map(|(_, cls, shots)| refine(cls, fracturer.model(), base, shots.clone()))
         .collect()
-}
-
-/// Scoring threads only repartition work: the shot lists must be
-/// identical.
-fn assert_thread_parity(starts: &[Start], t1: &[RefineOutcome], t4: &[RefineOutcome]) {
-    for (((id, ..), a), b) in starts.iter().zip(t1).zip(t4) {
-        assert_eq!(a.shots, b.shots, "{id}: 4 threads diverged from 1 thread");
-    }
 }
 
 /// Classifies and approximately fractures each target: the shared start
@@ -135,8 +122,8 @@ const REFINE_FINGERPRINT: u64 = 3_493_204_092_389_518_303;
 const REFINE_PINNED: [(&str, usize, usize); 3] =
     [("Clip-1", 7, 0), ("Clip-5", 11, 5), ("Clip-10", 15, 0)];
 
-/// Work counters of the three 1-thread refinement runs together.
-const REFINE_T1_COUNTERS: [(&str, u64); 6] = [
+/// Work counters of the three refinement runs together.
+const REFINE_COUNTERS: [(&str, u64); 6] = [
     ("refine.candidates.scored", 33_498),
     ("refine.candidates.screened", 19_200),
     ("refine.candidates.improving", 12_806),
@@ -170,16 +157,13 @@ fn refine_gate_clip_shots_and_work_counters() {
         selected.iter().map(|c| (c.id.as_str(), &c.polygon)),
     );
     // Counters are process-global and monotone; with the gates
-    // serialized, the delta across the 1-thread runs is exactly their
-    // work.
-    let before = REFINE_T1_COUNTERS.map(|(name, _)| maskfrac_obs::counter(name).get());
-    let t1 = refine_all(&fracturer, &base, &starts, 1);
-    for ((name, pinned), before) in REFINE_T1_COUNTERS.into_iter().zip(before) {
+    // serialized, the delta across the runs is exactly their work.
+    let before = REFINE_COUNTERS.map(|(name, _)| maskfrac_obs::counter(name).get());
+    let outs = refine_all(&fracturer, &base, &starts);
+    for ((name, pinned), before) in REFINE_COUNTERS.into_iter().zip(before) {
         drift.check(name, pinned, maskfrac_obs::counter(name).get() - before);
     }
-    let t4 = refine_all(&fracturer, &base, &starts, 4);
-    assert_thread_parity(&starts, &t1, &t4);
-    for ((id, shots, fails), out) in REFINE_PINNED.iter().zip(&t1) {
+    for ((id, shots, fails), out) in REFINE_PINNED.iter().zip(&outs) {
         drift.check(&format!("{id} shots"), *shots, out.shots.len());
         drift.check(&format!("{id} fail px"), *fails, out.summary.fail_count());
     }
@@ -238,10 +222,8 @@ fn frame_gate_staircase_shots() {
         &base,
         frames.iter().map(|(id, p)| (id.as_str(), p)),
     );
-    let t1 = refine_all(&fracturer, &base, &starts, 1);
-    let t4 = refine_all(&fracturer, &base, &starts, 4);
-    assert_thread_parity(&starts, &t1, &t4);
-    for ((id, shots, fails), out) in FRAME_PINNED.iter().zip(&t1) {
+    let outs = refine_all(&fracturer, &base, &starts);
+    for ((id, shots, fails), out) in FRAME_PINNED.iter().zip(&outs) {
         drift.check(&format!("{id} shots"), *shots, out.shots.len());
         drift.check(&format!("{id} fail px"), *fails, out.summary.fail_count());
     }

@@ -577,9 +577,9 @@ fn strip_score(
         };
     }
     // Separable edge factors: one per column/row of the window. The
-    // buffers are thread-local and grow-only — scoring runs on the
-    // refinement engine's scoped worker threads, and a per-call Vec pair
-    // here was the last steady-state allocation on the scoring path.
+    // buffers are thread-local and grow-only — each layout worker
+    // refines its own shapes, and a per-call Vec pair here was the last
+    // steady-state allocation on the scoring path.
     STRIP_FACTORS.with(|cell| {
         let (fx, fy) = &mut *cell.borrow_mut();
         map.fill_edge_factors(strip, &xs, &ys, fx, fy);
@@ -619,7 +619,7 @@ fn strip_score(
 /// lands in is `(row index) & 3` regardless of chunk boundaries, and the
 /// final reduction `(acc[0] + acc[1]) + (acc[2] + acc[3])` is a fixed
 /// tree: the result is a pure function of the window contents —
-/// deterministic, thread-count-invariant, and stable under any future
+/// deterministic and stable under any future
 /// re-tiling of the chunk loop. It is *not* the same f64 the pre-lane
 /// serial fold produced (ULP-level reassociation); the parity gates only
 /// pin determinism and cross-engine parity within a build, both of which

@@ -7,8 +7,9 @@ use maskfrac_graph::ColoringStrategy;
 ///
 /// Defaults reproduce the paper's evaluation setup: CD tolerance
 /// `γ = 2 nm`, kernel `σ = 6.25 nm`, pixel pitch `Δp = 1 nm`, threshold
-/// `ρ = 0.5`, with the simple sequential coloring heuristic and the 80 % /
-/// 90 % overlap criteria of §3 and §4.5.
+/// `ρ = 0.5`, with the simple sequential coloring heuristic and the 80 %
+/// overlap criterion of §3. The §4.5 merge criterion (90 %) and the
+/// 4096 nm per-shape extent cap are fixed constants, not fields.
 ///
 /// # Example
 ///
@@ -45,9 +46,6 @@ pub struct FractureConfig {
     /// Minimum fraction of a candidate test shot that must overlap the
     /// target for a graph edge (paper §3: 80 %).
     pub shot_overlap_fraction: f64,
-    /// Minimum inside fraction for an extension-merge of two aligned shots
-    /// (paper §4.5: 90 %).
-    pub merge_overlap_fraction: f64,
     /// Overrides the model-derived `Lth` (nm) when set; mainly for tests
     /// and ablations.
     pub lth_override: Option<f64>,
@@ -60,19 +58,6 @@ pub struct FractureConfig {
     /// [`crate::FractureStatus::Degraded`] if that solution is not
     /// feasible. `None` (the default) means unbounded, as in the paper.
     pub deadline: Option<std::time::Duration>,
-    /// Worker threads used to score surviving refinement candidates
-    /// within one greedy pass. `0` means auto-detect
-    /// (`std::thread::available_parallelism`), clamped to
-    /// 1..=[`crate::refine::MAX_REFINE_THREADS`]. Results are
-    /// deterministic at any thread count. The default of 1 avoids
-    /// oversubscription when shapes are already fractured on parallel
-    /// layout workers.
-    pub refine_threads: usize,
-    /// Largest allowed side of a target's bounding box in nm; the
-    /// validation front-door ([`crate::validate::validate_target`])
-    /// rejects bigger shapes, which belong to clip-level partitioning, not
-    /// the per-shape pipeline (whose intensity map is dense in the bbox).
-    pub max_extent: i64,
 }
 
 impl Default for FractureConfig {
@@ -87,12 +72,9 @@ impl Default for FractureConfig {
             max_plateau_restarts: 8,
             coloring: ColoringStrategy::Sequential,
             shot_overlap_fraction: 0.8,
-            merge_overlap_fraction: 0.9,
             lth_override: None,
             reduction_sweep: true,
             deadline: None,
-            refine_threads: 1,
-            max_extent: 4096,
         }
     }
 }
@@ -132,17 +114,11 @@ impl FractureConfig {
         if !(0.0..=1.0).contains(&self.shot_overlap_fraction) {
             return Err("shot_overlap_fraction must be in [0, 1]".into());
         }
-        if !(0.0..=1.0).contains(&self.merge_overlap_fraction) {
-            return Err("merge_overlap_fraction must be in [0, 1]".into());
-        }
         if self.stall_window == 0 {
             return Err("stall_window must be at least 1".into());
         }
         if self.max_plateau_restarts == 0 {
             return Err("max_plateau_restarts must be at least 1".into());
-        }
-        if self.max_extent < self.min_shot_size {
-            return Err("max_extent must be at least min_shot_size".into());
         }
         Ok(())
     }
@@ -159,7 +135,6 @@ mod tests {
         assert_eq!(c.sigma, 6.25);
         assert_eq!(c.rho, 0.5);
         assert_eq!(c.shot_overlap_fraction, 0.8);
-        assert_eq!(c.merge_overlap_fraction, 0.9);
         assert!(c.validate().is_ok());
     }
 
@@ -188,12 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn refine_engine_defaults() {
-        let c = FractureConfig::default();
-        assert_eq!(c.refine_threads, 1, "serial scoring by default");
-    }
-
-    #[test]
     fn validation_catches_each_field() {
         let base = FractureConfig::default();
         let bad = [
@@ -202,10 +171,8 @@ mod tests {
             FractureConfig { rho: 1.0, ..base.clone() },
             FractureConfig { min_shot_size: 0, ..base.clone() },
             FractureConfig { shot_overlap_fraction: 1.5, ..base.clone() },
-            FractureConfig { merge_overlap_fraction: -0.1, ..base.clone() },
             FractureConfig { stall_window: 0, ..base.clone() },
             FractureConfig { max_plateau_restarts: 0, ..base.clone() },
-            FractureConfig { max_extent: 5, ..base.clone() },
         ];
         for c in bad {
             assert!(c.validate().is_err(), "{c:?} should fail validation");

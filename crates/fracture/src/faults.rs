@@ -26,8 +26,8 @@
 //!
 //! Arming is process-global and scoped: [`arm_scoped`] returns an RAII
 //! guard that serialises concurrent users (tests in one binary run in
-//! parallel) and disarms on drop. When the `fault-injection` feature is
-//! disabled the probe compiles to a constant `None`.
+//! parallel) and disarms on drop. The probes are always compiled in;
+//! with no plan armed, [`fire`] takes one lock and returns `None`.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -190,27 +190,17 @@ pub fn arm_scoped(plan: FaultPlan) -> FaultScope {
 /// so under a crash-only plan (or none) every result is still a pure
 /// function of geometry and config, and safe to persist.
 pub fn alters_results() -> bool {
-    cfg!(feature = "fault-injection")
-        && PLAN
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_some_and(|p| p.panic_rate > 0.0 || p.timeout_rate > 0.0 || p.infeasible_rate > 0.0)
+    PLAN.lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .is_some_and(|p| p.panic_rate > 0.0 || p.timeout_rate > 0.0 || p.infeasible_rate > 0.0)
 }
 
 /// Probe the harness at a named stage. Returns the fault to act out, if
-/// any. Compiles to `None` when the `fault-injection` feature is off.
+/// any.
 #[inline]
 pub fn fire(stage: &str, key: u64) -> Option<Fault> {
-    #[cfg(feature = "fault-injection")]
-    {
-        let plan = *PLAN.lock().unwrap_or_else(|e| e.into_inner());
-        plan.and_then(|p| p.decide(stage, key))
-    }
-    #[cfg(not(feature = "fault-injection"))]
-    {
-        let _ = (stage, key);
-        None
-    }
+    let plan = *PLAN.lock().unwrap_or_else(|e| e.into_inner());
+    plan.and_then(|p| p.decide(stage, key))
 }
 
 #[cfg(test)]

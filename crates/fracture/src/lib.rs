@@ -56,7 +56,7 @@ pub use corner::{CornerType, ShotCorner};
 pub use error::{FractureError, FractureStatus, Stage, TargetDefect};
 pub use faults::{Fault, FaultPlan, FaultScope};
 pub use pipeline::{FractureResult, ModelBasedFracturer};
-pub use refine::{reduce_shots, refine, IterationRecord, RefineOutcome, MAX_REFINE_THREADS};
+pub use refine::{reduce_shots, refine, IterationRecord, RefineOutcome};
 pub use report::verify_shots;
 pub use scratch::FractureScratch;
 pub use validate::validate_target;

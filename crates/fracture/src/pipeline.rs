@@ -151,7 +151,7 @@ impl ModelBasedFracturer {
     ///
     /// Rejects degenerate targets with a typed error instead of feeding
     /// them to the pipeline and honours an armed
-    /// [fault-injection plan](crate::faults). The intensity grid, the
+    /// [fault injection plan](crate::faults). The intensity grid, the
     /// class grid and the refinement engine's candidate cache are
     /// recycled through `scratch`, so a worker fracturing many shapes
     /// allocates nothing per shape in steady state; the result does not
@@ -170,7 +170,7 @@ impl ModelBasedFracturer {
         validate_target(target, &self.config)?;
         match faults::fire("pipeline", self.fault_key(target)) {
             Some(Fault::Panic) => {
-                panic!("injected fault: pipeline panic (fault-injection harness)")
+                panic!("injected fault: pipeline panic (fault injection harness)")
             }
             Some(Fault::Timeout) => {
                 // Act out an already-expired budget: refinement returns
@@ -180,7 +180,7 @@ impl ModelBasedFracturer {
             Some(Fault::Infeasible) => {
                 return Err(FractureError::Internal {
                     stage: Stage::Refine,
-                    message: "injected infeasible residue (fault-injection harness)".into(),
+                    message: "injected infeasible residue (fault injection harness)".into(),
                 });
             }
             // Crash probes belong to the journal write path (the process
@@ -191,7 +191,7 @@ impl ModelBasedFracturer {
         Ok(self.run_pipeline(target, deadline, scratch))
     }
 
-    /// Deterministic per-(shape, config) fingerprint for fault-injection
+    /// Deterministic per-(shape, config) fingerprint for fault injection
     /// probes: a retry under a different config draws a fresh decision.
     fn fault_key(&self, target: &Region) -> u64 {
         let b = target.bbox();

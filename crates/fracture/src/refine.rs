@@ -22,9 +22,9 @@
 //!
 //! Every candidate is scored exactly: `cost_ref` at the paper's 1 nm
 //! pixel pitch through the interpolated edge-profile table (see
-//! `maskfrac_ebeam`'s `intensity` module). Runs are byte-identical across
-//! scoring thread counts; the tests below also pin them against a
-//! full-rescan reference engine.
+//! `maskfrac_ebeam`'s `intensity` module). Scoring is serial: parallelism
+//! pays across shapes (the layout driver's workers), not inside one. The
+//! tests below pin the engine against a full-rescan reference.
 
 use crate::config::FractureConfig;
 use crate::scratch::FractureScratch;
@@ -32,22 +32,6 @@ use maskfrac_ebeam::violations::{cost_delta_for_strip, evaluate, fail_bitmaps, V
 use maskfrac_ebeam::{Classification, ExposureModel, FailureSummary, IntensityMap};
 use maskfrac_geom::rect::Edge;
 use maskfrac_geom::{label_components, Rect};
-
-/// Upper bound on candidate-scoring worker threads; see
-/// [`FractureConfig::refine_threads`].
-pub const MAX_REFINE_THREADS: usize = 64;
-
-/// Resolves [`FractureConfig::refine_threads`]: `0` auto-detects from
-/// `std::thread::available_parallelism`, and the result is clamped to
-/// `1..=`[`MAX_REFINE_THREADS`].
-pub(crate) fn resolve_refine_threads(cfg: &FractureConfig) -> usize {
-    let requested = if cfg.refine_threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        cfg.refine_threads
-    };
-    requested.clamp(1, MAX_REFINE_THREADS)
-}
 
 /// Per-iteration trace record (used by the figure/ablation harness).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,8 +104,7 @@ pub(crate) fn refine_until_with(
     // per strip (no per-iteration frame scan), the engine carries scored
     // candidates forward per shot (no per-pass full re-score).
     let mut tracker = ViolationTracker::new(cls, &map);
-    let mut engine =
-        GreedyEngine::from_scratch(cfg, shots.len(), std::mem::take(&mut scratch.engine));
+    let mut engine = GreedyEngine::from_scratch(shots.len(), std::mem::take(&mut scratch.engine));
 
     let mut best_shots = shots.clone();
     let mut best_summary = tracker.summary();
@@ -269,7 +252,7 @@ pub fn polish_edges(
         map.add_shot(s);
     }
     let mut tracker = ViolationTracker::new(cls, &map);
-    let mut engine = GreedyEngine::new(cfg, shots.len());
+    let mut engine = GreedyEngine::new(shots.len());
     let mut best_shots = shots.clone();
     let mut best_summary = tracker.summary();
     let mut iterations = 0usize;
@@ -606,23 +589,21 @@ pub(crate) struct EngineScratch {
 }
 
 /// Incremental greedy shot-edge adjustment (paper §4.1) with a
-/// dirty-window candidate cache and parallel scoring.
+/// dirty-window candidate cache.
 ///
 /// A candidate's score reads only map values inside its strip's support
 /// window, and an accepted move changes only map values inside *its*
 /// strip's support window — so a cached score stays exact until a move
 /// lands within two support radii of the cached shot. The engine keeps
 /// every shot's improving moves between passes, re-scores only shots in
-/// that dirty neighborhood (in parallel when
-/// [`FractureConfig::refine_threads`] allows), and accepts best-first
-/// under the paper's 2σ blocking rule. Acceptance order is made explicit
-/// — stable by `(delta_cost, shot_index, edge, delta)` — so serial,
-/// parallel, and full-rescan runs produce byte-identical shot lists.
+/// that dirty neighborhood, and accepts best-first under the paper's 2σ
+/// blocking rule. Acceptance order is made explicit — stable by
+/// `(delta_cost, shot_index, edge, delta)` — so incremental and
+/// full-rescan runs produce byte-identical shot lists.
 struct GreedyEngine {
     cache: Vec<ShotCache>,
     todo: Vec<usize>,
     candidates: Vec<(usize, usize)>,
-    threads: usize,
 }
 
 #[cfg(test)]
@@ -636,19 +617,18 @@ thread_local! {
 }
 
 impl GreedyEngine {
-    fn new(cfg: &FractureConfig, shot_count: usize) -> Self {
-        GreedyEngine::from_scratch(cfg, shot_count, EngineScratch::default())
+    fn new(shot_count: usize) -> Self {
+        GreedyEngine::from_scratch(shot_count, EngineScratch::default())
     }
 
     /// Builds an engine on top of a recycled [`EngineScratch`] spine. The
     /// scratch contents are treated as garbage (everything is reset); only
     /// the allocations are reused.
-    fn from_scratch(cfg: &FractureConfig, shot_count: usize, scratch: EngineScratch) -> Self {
+    fn from_scratch(shot_count: usize, scratch: EngineScratch) -> Self {
         let mut engine = GreedyEngine {
             cache: scratch.cache,
             todo: scratch.todo,
             candidates: scratch.candidates,
-            threads: resolve_refine_threads(cfg),
         };
         engine.reset(shot_count);
         engine
@@ -724,54 +704,14 @@ impl GreedyEngine {
         todo.extend((0..shots.len()).filter(|&i| !self.cache[i].valid[sidx]));
         maskfrac_obs::counter!("refine.candidates.skipped")
             .add(((shots.len() - todo.len()) * Edge::ALL.len() * 2) as u64);
-        let frozen: &[Rect] = shots;
-        let map_ref: &IntensityMap = map;
-        let workers = self.threads.min(todo.len());
         let mut counts = ScoreCounts::default();
         let mut improving = 0u64;
-        if workers > 1 {
-            let chunk = todo.len().div_ceil(workers);
-            type Row = (usize, Vec<ScoredMove>, ScoreCounts);
-            let results: Vec<Vec<Row>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = todo
-                    .chunks(chunk)
-                    .map(|indices| {
-                        scope.spawn(move || {
-                            indices
-                                .iter()
-                                .map(|&i| {
-                                    let (moves, n) =
-                                        score_shot(cls, map_ref, screen, &frozen[i], cfg, stride);
-                                    (i, moves, n)
-                                })
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(rows) => rows,
-                        Err(panic) => std::panic::resume_unwind(panic),
-                    })
-                    .collect()
-            });
-            for rows in results {
-                for (i, moves, n) in rows {
-                    counts += n;
-                    improving += moves.len() as u64;
-                    self.cache[i].moves[sidx] = moves;
-                    self.cache[i].valid[sidx] = true;
-                }
-            }
-        } else {
-            for &i in &todo {
-                let (moves, n) = score_shot(cls, map_ref, screen, &frozen[i], cfg, stride);
-                counts += n;
-                improving += moves.len() as u64;
-                self.cache[i].moves[sidx] = moves;
-                self.cache[i].valid[sidx] = true;
-            }
+        for &i in &todo {
+            let (moves, n) = score_shot(cls, map, screen, &shots[i], cfg, stride);
+            counts += n;
+            improving += moves.len() as u64;
+            self.cache[i].moves[sidx] = moves;
+            self.cache[i].valid[sidx] = true;
         }
         maskfrac_obs::counter!("refine.candidates.scored").add(counts.scored);
         maskfrac_obs::counter!("refine.candidates.screened").add(counts.screened);
@@ -1061,6 +1001,10 @@ fn remove_shot(cls: &Classification, map: &mut IntensityMap, shots: &mut Vec<Rec
     map.remove_shot(&removed);
 }
 
+/// Minimum inside fraction for an extension-merge of two aligned shots
+/// (paper §4.5: 90 %).
+const MERGE_OVERLAP_FRACTION: f64 = 0.9;
+
 /// Merges aligned or redundant shot pairs (paper §4.5, Fig. 5). Repeats
 /// until no pair merges.
 fn merge_shots(
@@ -1090,7 +1034,7 @@ fn merge_shots(
                 if x_aligned || y_aligned {
                     let candidate = a.union_bbox(&b);
                     if crate::approx::fraction_inside_target(cls, &candidate)
-                        >= cfg.merge_overlap_fraction
+                        >= MERGE_OVERLAP_FRACTION
                     {
                         merged = Some((i, j, Some(candidate)));
                         break 'outer;
@@ -1335,20 +1279,6 @@ mod tests {
         assert!((resim.cost - out.summary.cost).abs() < 1e-6);
     }
 
-    #[test]
-    fn resolve_refine_threads_clamps() {
-        let mut cfg = FractureConfig {
-            refine_threads: 1,
-            ..FractureConfig::default()
-        };
-        assert_eq!(resolve_refine_threads(&cfg), 1);
-        cfg.refine_threads = 0; // auto-detect
-        let auto = resolve_refine_threads(&cfg);
-        assert!((1..=MAX_REFINE_THREADS).contains(&auto));
-        cfg.refine_threads = 100_000;
-        assert_eq!(resolve_refine_threads(&cfg), MAX_REFINE_THREADS);
-    }
-
     /// Regression test for the stale-candidate desync: a wide shot offset
     /// so that *both* its left and right edges improve. The strips are far
     /// apart (≫ 2σ), so the old engine accepted both moves in one pass —
@@ -1364,7 +1294,7 @@ mod tests {
         let mut map = IntensityMap::new(model, cls.frame());
         map.add_shot(&shots[0]);
         let mut tracker = ViolationTracker::new(&cls, &map);
-        let mut engine = GreedyEngine::new(&cfg, shots.len());
+        let mut engine = GreedyEngine::new(shots.len());
 
         let before = shots[0];
         assert!(
@@ -1419,8 +1349,8 @@ mod tests {
         assert!((tracker.summary().cost - full.cost).abs() < 1e-9);
     }
 
-    /// The incremental engine (at 1 and at 4 threads) must produce exactly
-    /// the shot list of the full-rescan reference path.
+    /// The incremental engine must produce exactly the shot list of the
+    /// full-rescan reference path.
     #[test]
     fn incremental_and_full_rescan_paths_are_byte_identical() {
         let target = Polygon::new(vec![
@@ -1437,29 +1367,18 @@ mod tests {
             Rect::new(3, -3, 81, 25).unwrap(),
             Rect::new(-2, 2, 26, 80).unwrap(),
         ];
-        let run = |threads: usize| {
-            let cfg = FractureConfig {
-                refine_threads: threads,
-                ..base.clone()
-            };
-            refine(&cls, &model, &cfg, initial.clone())
-        };
-        let reference = full_rescan(|| run(1));
-        for threads in [1, 4] {
-            let out = run(threads);
-            assert_eq!(
-                out.shots, reference.shots,
-                "shot lists diverged at {threads} threads"
-            );
-            assert_eq!(out.iterations, reference.iterations);
-            assert_eq!(out.summary.on_fails, reference.summary.on_fails);
-            assert_eq!(out.summary.off_fails, reference.summary.off_fails);
-        }
+        let run = || refine(&cls, &model, &base, initial.clone());
+        let reference = full_rescan(run);
+        let out = run();
+        assert_eq!(out.shots, reference.shots, "shot lists diverged");
+        assert_eq!(out.iterations, reference.iterations);
+        assert_eq!(out.summary.on_fails, reference.summary.on_fails);
+        assert_eq!(out.summary.off_fails, reference.summary.off_fails);
     }
 
-    /// The dirty-window cache and parallel scoring are pure optimizations:
-    /// on the real clip suite, end to end through refinement, the engine
-    /// at 1 and at 4 scoring threads must give exactly the shot list of
+    /// The dirty-window cache, the failing-tile screen and live-pixel
+    /// scoring are pure optimizations: on the real clip suite, end to end
+    /// through refinement, the engine must give exactly the shot list of
     /// the full-rescan reference.
     #[test]
     fn engines_agree_bit_for_bit_on_clip_suite() {
@@ -1480,24 +1399,16 @@ mod tests {
                 &base,
                 fracturer.lth(),
             );
-            let run = |threads: usize| {
-                let cfg = FractureConfig {
-                    refine_threads: threads,
-                    ..base.clone()
-                };
-                refine(&cls, fracturer.model(), &cfg, approx.shots.clone())
-            };
-            let want = full_rescan(|| run(1));
-            for threads in [1, 4] {
-                let out = run(threads);
-                assert_eq!(
-                    out.shots, want.shots,
-                    "{}: engine at {threads} threads diverged from the full-rescan reference",
-                    clip.id
-                );
-                assert_eq!(out.iterations, want.iterations, "{}", clip.id);
-                assert_eq!(out.summary.fail_count(), want.summary.fail_count(), "{}", clip.id);
-            }
+            let run = || refine(&cls, fracturer.model(), &base, approx.shots.clone());
+            let want = full_rescan(run);
+            let out = run();
+            assert_eq!(
+                out.shots, want.shots,
+                "{}: engine diverged from the full-rescan reference",
+                clip.id
+            );
+            assert_eq!(out.iterations, want.iterations, "{}", clip.id);
+            assert_eq!(out.summary.fail_count(), want.summary.fail_count(), "{}", clip.id);
         }
     }
 
@@ -1606,13 +1517,13 @@ mod tests {
             map.add_shot(s);
         }
         let mut tracker = ViolationTracker::new(&cls, &map);
-        let mut engine = GreedyEngine::new(&cfg, shots.len());
+        let mut engine = GreedyEngine::new(shots.len());
         for _ in 0..12 {
             // Mirror state for the reference engine before the pass runs.
             let mut ref_shots = shots.clone();
             let mut ref_map = map.clone();
             let mut ref_tracker = ViolationTracker::new(&cls, &ref_map);
-            let mut ref_engine = GreedyEngine::new(&cfg, ref_shots.len());
+            let mut ref_engine = GreedyEngine::new(ref_shots.len());
 
             let moved = engine.pass(&cls, &mut map, &mut tracker, &mut shots, &cfg, 1);
             let ref_moved = full_rescan(|| {

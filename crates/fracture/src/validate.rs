@@ -11,6 +11,11 @@ use crate::config::FractureConfig;
 use crate::error::{FractureError, TargetDefect};
 use maskfrac_geom::Region;
 
+/// Largest allowed side of a target's bounding box in nm. The
+/// per-shape intensity map is dense in the bbox, so bigger shapes belong
+/// to clip-level partitioning upstream, not to this pipeline.
+const MAX_EXTENT: i64 = 4096;
+
 /// Validates a target region against `cfg`.
 ///
 /// Checks, in order:
@@ -18,9 +23,9 @@ use maskfrac_geom::Region;
 /// 1. the region encloses positive area;
 /// 2. the bounding box is at least `Lmin` (`cfg.min_shot_size`) on its
 ///    smaller side — thinner targets admit no legal shot;
-/// 3. the bounding box does not exceed `cfg.max_extent` on its larger
-///    side — the per-shape intensity map is dense in the bbox, so
-///    clip-scale geometry must be partitioned upstream;
+/// 3. the bounding box does not exceed 4096 nm on its larger side — the
+///    per-shape intensity map is dense in the bbox, so clip-scale
+///    geometry must be partitioned upstream;
 /// 4. the outer ring and every hole ring are simple polygons.
 ///
 /// # Errors
@@ -38,10 +43,10 @@ pub fn validate_target(target: &Region, cfg: &FractureConfig) -> Result<(), Frac
         }));
     }
     let extent = bbox.width().max(bbox.height());
-    if extent > cfg.max_extent {
+    if extent > MAX_EXTENT {
         return Err(FractureError::InvalidTarget(TargetDefect::TooLarge {
             extent,
-            max_extent: cfg.max_extent,
+            max_extent: MAX_EXTENT,
         }));
     }
     if let Err(detail) = target.outer().check_simple() {

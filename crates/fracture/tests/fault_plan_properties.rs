@@ -1,4 +1,4 @@
-//! Property tests for the fault-injection plan: `decide` is a pure
+//! Property tests for the fault injection plan: `decide` is a pure
 //! function of `(plan, stage, key)` — deterministic across repeated
 //! calls and reconstructed plans, independent between stages, and the
 //! crash band never disturbs the in-process bands it sits behind.

@@ -12,7 +12,6 @@ use maskfrac_fracture::{
 fn reduce_counters_match_the_removed_shots() {
     let cfg = FractureConfig {
         reduction_sweep: false,
-        refine_threads: 1,
         ..FractureConfig::default()
     };
     let fracturer = ModelBasedFracturer::new(cfg.clone());

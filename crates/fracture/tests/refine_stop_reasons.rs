@@ -48,7 +48,6 @@ fn start(
 fn each_refinement_counts_one_stop_reason() {
     let cfg = FractureConfig {
         reduction_sweep: false,
-        refine_threads: 1,
         ..FractureConfig::default()
     };
     let fracturer = ModelBasedFracturer::new(cfg.clone());

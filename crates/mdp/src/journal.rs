@@ -237,10 +237,6 @@ pub(crate) fn geometry_fingerprint(key: &[u8]) -> u64 {
 /// Fingerprint identifying a (layout, config) run for the journal
 /// header. Covers the layout content (shape names, vertices,
 /// placements) and every *result-affecting* configuration field.
-/// `refine_threads` is deliberately excluded: it is proven
-/// result-invariant (parity tests in `crates/fracture`), so a resume may
-/// change it — e.g. resume a 1-thread run with 4 threads — without
-/// invalidating the journal.
 pub(crate) fn run_fingerprint(layout: &Layout, config: &FractureConfig) -> u64 {
     let mut bytes = Vec::new();
     bytes.extend_from_slice(layout.name.as_bytes());
@@ -277,9 +273,7 @@ pub(crate) fn run_fingerprint(layout: &Layout, config: &FractureConfig) -> u64 {
 /// ([`crate::geomcache`]) namespaces its artifacts: a cached shot list
 /// is valid for exactly one (canonical geometry, config) pair.
 ///
-/// Hashes the same config byte stream as [`run_fingerprint`], with the
-/// same `refine_threads` exclusion (it only repartitions work across
-/// threads over bit-identical arithmetic).
+/// Hashes the same config byte stream as [`run_fingerprint`].
 pub(crate) fn config_fingerprint(config: &FractureConfig) -> u64 {
     let mut bytes = Vec::new();
     push_config_bytes(&mut bytes, config);
@@ -287,13 +281,19 @@ pub(crate) fn config_fingerprint(config: &FractureConfig) -> u64 {
 }
 
 /// The result-affecting config fields, byte-encoded for fingerprinting.
+///
+/// The `0.9` and `4096` slots held the former config fields
+/// `merge_overlap_fraction` and `max_extent`, now fixed constants of the
+/// fracturer (like the rest of its code, not fingerprinted). Their bytes
+/// stay so journals and geometry caches written before keep their
+/// fingerprints.
 fn push_config_bytes(bytes: &mut Vec<u8>, config: &FractureConfig) {
     for f in [
         config.gamma,
         config.sigma,
         config.rho,
         config.shot_overlap_fraction,
-        config.merge_overlap_fraction,
+        0.9,
         config.lth_override.unwrap_or(f64::NEG_INFINITY),
     ] {
         bytes.extend_from_slice(&f.to_bits().to_le_bytes());
@@ -303,7 +303,7 @@ fn push_config_bytes(bytes: &mut Vec<u8>, config: &FractureConfig) {
         config.max_iterations as i64,
         config.stall_window as i64,
         config.max_plateau_restarts as i64,
-        config.max_extent,
+        4096,
         i64::from(config.reduction_sweep),
         config
             .deadline
@@ -649,12 +649,7 @@ mod tests {
         assert_eq!(base, 0xa31f_bb79_4804_5e72);
         assert_eq!(config_fingerprint(&config), 0x7029_a04d_27f6_be23);
 
-        // Result-invariant knobs do not move the fingerprint...
-        let mut threads = config.clone();
-        threads.refine_threads = 8;
-        assert_eq!(base, run_fingerprint(&layout, &threads));
-
-        // ...result-affecting knobs and layout edits do.
+        // Result-affecting knobs and layout edits move the fingerprint.
         let mut gamma = config.clone();
         gamma.gamma = 3.0;
         assert_ne!(base, run_fingerprint(&layout, &gamma));

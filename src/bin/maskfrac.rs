@@ -1,8 +1,8 @@
 //! `maskfrac` — command-line mask fracturing.
 //!
 //! ```text
-//! maskfrac fracture <shape.json> [--method NAME] [--svg OUT.svg] [--out SHOTS.json] [--deadline-ms MS] [--refine-threads N] [OBS FLAGS]
-//! maskfrac fracture-layout <layout.txt|.json> [--threads N] [--refine-threads N] [--deadline-ms MS]
+//! maskfrac fracture <shape.json> [--method NAME] [--svg OUT.svg] [--out SHOTS.json] [--deadline-ms MS] [OBS FLAGS]
+//! maskfrac fracture-layout <layout.txt|.json> [--threads N] [--deadline-ms MS]
 //!                          [--checkpoint J.mfj] [--resume] [--geom-cache DIR]
 //!                          [--fault-seed N] [--fault-rate R] [--fault-crash-rate R] [OBS FLAGS]
 //! maskfrac generate-ilt <out.json> [--seed N] [--radius NM]
@@ -14,14 +14,17 @@
 //!
 //! Shapes travel as the JSON format of
 //! [`maskfrac::shapes::io::ShapeFile`]; methods are `ours` (default),
-//! `gsc`, `mp`, `proto-eda`, `conventional`, `exact`. Unknown flags,
+//! `gsc`, `mp`, `proto-eda`, `conventional`, `exact`. `exact` proves
+//! optima only on tiny shapes (1–2 shots, up to ~90 nm): on every
+//! `benchmarks/agb-*.json` it returns 0 shots `[failed]` — on AGB-1 and
+//! AGB-5 (known 3-shot solutions) it exhausts its 2,000,000-node budget
+//! after 50–100 s, and AGB-2/3/4 exceed its 6-shot cap. Unknown flags,
 //! malformed numbers, and degenerate shapes are reported with a typed
 //! message and a non-zero exit instead of a panic; `--deadline-ms`
 //! bounds the refinement wall clock (best-so-far results are tagged
 //! `degraded`). `--threads` defaults to the machine's available
-//! parallelism (capped by the layout worker limit); `--refine-threads`
-//! sets the candidate-scoring workers inside one shape's refinement
-//! (`0` = auto, default 1 — results are identical at any setting).
+//! parallelism (capped by the layout worker limit); refinement inside one
+//! shape is serial.
 //!
 //! Both fracture subcommands share the observability flags (none of which
 //! changes the shot output — see `docs/observability.md`):
@@ -241,7 +244,7 @@ where
 }
 
 /// Builds the fracture configuration shared by the fracture subcommands,
-/// honouring `--deadline-ms` and `--refine-threads`.
+/// honouring `--deadline-ms`.
 fn config_from_flags(args: &[String]) -> Result<FractureConfig, Box<dyn std::error::Error>> {
     let mut cfg = FractureConfig::default();
     if let Some(ms) = parsed_flag::<u64>(args, "--deadline-ms")? {
@@ -249,16 +252,6 @@ fn config_from_flags(args: &[String]) -> Result<FractureConfig, Box<dyn std::err
             return Err("--deadline-ms must be positive".into());
         }
         cfg.deadline = Some(std::time::Duration::from_millis(ms));
-    }
-    if let Some(n) = parsed_flag::<usize>(args, "--refine-threads")? {
-        if n > maskfrac::fracture::refine::MAX_REFINE_THREADS {
-            return Err(format!(
-                "--refine-threads {n} exceeds the cap of {}",
-                maskfrac::fracture::refine::MAX_REFINE_THREADS
-            )
-            .into());
-        }
-        cfg.refine_threads = n; // 0 = auto-detect
     }
     Ok(cfg)
 }
@@ -272,13 +265,7 @@ fn default_layout_threads() -> usize {
 }
 
 fn cmd_fracture(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let mut allowed = vec![
-        "--method",
-        "--svg",
-        "--out",
-        "--deadline-ms",
-        "--refine-threads",
-    ];
+    let mut allowed = vec!["--method", "--svg", "--out", "--deadline-ms"];
     allowed.extend_from_slice(&OBS_FLAGS);
     check_flags(args, &allowed)?;
     let path = args
@@ -381,7 +368,7 @@ fn report(
     Ok(())
 }
 
-/// Arms the fault-injection plan requested by `--fault-rate` /
+/// Arms the fault plan requested by `--fault-rate` /
 /// `--fault-crash-rate` (keyed by `--fault-seed`, default 0). Returns
 /// the scope guard keeping the plan armed, or `None` when no fault flag
 /// was given.
@@ -420,7 +407,6 @@ fn fault_scope_from_flags(
 fn cmd_fracture_layout(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut allowed = vec![
         "--threads",
-        "--refine-threads",
         "--deadline-ms",
         "--checkpoint",
         "--resume",

@@ -105,6 +105,23 @@ fn fracture_layout_rejects_supervisor_tuning_flags() {
 }
 
 #[test]
+fn fracture_commands_reject_refine_threads() {
+    // Refinement inside one shape is serial: neither command takes a
+    // scoring-thread count.
+    let shape = concat!(env!("CARGO_MANIFEST_DIR"), "/benchmarks/clip-1.json");
+    let layout = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/layouts/smoke.layout");
+    for (command, input) in [("fracture", shape), ("fracture-layout", layout)] {
+        let run = maskfrac(&[command, input, "--refine-threads", "2"]);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(!run.status.success(), "{command} accepted --refine-threads");
+        assert!(
+            stderr.contains("unknown flag --refine-threads"),
+            "{command}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn fracture_layout_rejects_overflowing_fault_bands() {
     let layout = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/layouts/smoke.layout");
     // 3·R + crash rate > 1: a fault band would start past the draw's end.

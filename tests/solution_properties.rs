@@ -114,52 +114,6 @@ fn single_rectangles_fracture_to_one_shot() {
     });
 }
 
-/// Parallel scoring is a pure optimization, never allowed to change which
-/// candidate moves are accepted or in what order: the real clip suite,
-/// end to end through refinement, gives byte-identical shot lists at 1
-/// and at 4 scoring threads. (The full-rescan reference engine is only
-/// visible to `fracture::refine`'s own unit tests, which pin it too.)
-#[test]
-fn refinement_is_thread_count_invariant_on_clip_suite() {
-    use maskfrac::fracture::approximate_fracture;
-    use maskfrac::fracture::refine::refine;
-
-    // Bounded iterations keep the suite fast; parity must hold at any cut
-    // point, so a tighter budget loses no coverage.
-    let base = FractureConfig {
-        max_iterations: 160,
-        reduction_sweep: false,
-        ..FractureConfig::default()
-    };
-    let fracturer = ModelBasedFracturer::new(base.clone());
-    for clip in maskfrac::shapes::ilt_suite() {
-        let cls = fracturer.classify(&clip.polygon);
-        let approx = approximate_fracture(
-            &clip.polygon,
-            &cls,
-            fracturer.model(),
-            &base,
-            fracturer.lth(),
-        );
-        let run = |threads: usize| {
-            let cfg = FractureConfig {
-                refine_threads: threads,
-                ..base.clone()
-            };
-            refine(&cls, fracturer.model(), &cfg, approx.shots.clone())
-        };
-        let (t1, t4) = (run(1), run(4));
-        assert_eq!(t4.shots, t1.shots, "{}: 4 threads diverged from 1", clip.id);
-        assert_eq!(t4.iterations, t1.iterations, "{}", clip.id);
-        assert_eq!(
-            t4.summary.fail_count(),
-            t1.summary.fail_count(),
-            "{}",
-            clip.id
-        );
-    }
-}
-
 #[test]
 fn classification_frames_cover_model_support() {
     // The frame margin used by the pipeline must cover 3 sigma, or Poff
