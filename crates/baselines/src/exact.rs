@@ -4,14 +4,27 @@
 //! the optimal shot count. This module bounds it for *tiny* instances
 //! only (1–2 shot optima on shapes up to ~90 nm; it solves none of the
 //! generated benchmarks, running out of nodes even where a 3-shot
-//! solution is known): depth-first search over a candidate pool with
-//! set-cover branching (every solution must cover the first failing
-//! `Pon` pixel, so branching is restricted to candidates covering it),
-//! incremental intensity maps, and a node budget. When the budget is
-//! not exhausted the returned count is **provably optimal over the
-//! candidate pool** — which makes it the referee for optimality tests of
-//! the heuristics on small shapes. [`FractureConfig::deadline`] bounds
-//! the search's wall clock; a search it cuts returns no solution.
+//! solution is known): iterative-deepening depth-first search over a
+//! candidate pool with incremental intensity maps and a node budget.
+//!
+//! Each node branches on the first failing `Pon` pixel (the *witness*):
+//!
+//! * **Slack rule.** With `r` shots left the witness must still gain
+//!   `ρ − I(w)`, so at least one of those shots adds `(ρ − I(w))/r` or
+//!   more there; only such candidates are branched on (less a small
+//!   tolerance, so rounding cannot cut a solution).
+//! * **Exclusion branching.** A node's i-th branch bars that node's
+//!   branches 1…i−1 from its subtree: a solution whose first qualifying
+//!   shot is the i-th is still reached, and no shot set is searched
+//!   twice in different orders.
+//!
+//! A search that completes within the budget and the deadline therefore
+//! proves that no feasible shot list over the pool is shorter than the
+//! one it returns (or, returning none, that none of at most the searched
+//! length exists) — which makes it the referee for optimality tests of
+//! the heuristics on small shapes. It proves nothing about shots outside
+//! the pool. [`FractureConfig::deadline`] bounds the search's wall clock;
+//! a search it cuts returns no solution.
 
 use crate::candidates::pursuit_candidates;
 use crate::MaskFracturer;
@@ -27,6 +40,13 @@ const NODE_BUDGET: usize = 2_000_000;
 
 /// Search nodes between two reads of the clock against the deadline.
 const DEADLINE_CHECK_NODES: usize = 1024;
+
+/// How far below the slack rule's bound a candidate's estimated gain at
+/// the witness may fall and still be branched on. The estimate
+/// ([`maskfrac_ebeam::ExposureModel::shot_intensity`]) is within 1e-6
+/// per edge factor of the map's own contribution, and never below it
+/// outside the map's support window.
+const SLACK_TOLERANCE: f64 = 1e-5;
 
 /// Result of an exhaustive search.
 #[derive(Debug, Clone)]
@@ -102,89 +122,108 @@ impl ExhaustiveOptimal {
         max_shots: usize,
         deadline: Option<Instant>,
     ) -> ExactOutcome {
-        let model = self.config.model();
         let cls = Classification::build(
             target,
             self.config.gamma,
-            model.support_radius_px() + 2,
+            self.config.model().support_radius_px() + 2,
         );
         let pool = pursuit_candidates(target, &cls, &self.config);
-        let mut budget = Budget {
-            nodes: 0,
-            deadline,
-            deadline_hit: false,
+        self.search_pool(&cls, &pool, max_shots, deadline)
+    }
+
+    /// [`Self::search`] over an explicit candidate pool.
+    fn search_pool(
+        &self,
+        cls: &Classification,
+        pool: &[Rect],
+        max_shots: usize,
+        deadline: Option<Instant>,
+    ) -> ExactOutcome {
+        let mut search = Search {
+            cls,
+            pool,
+            map: IntensityMap::new(self.config.model(), cls.frame()),
+            chosen: Vec::with_capacity(max_shots),
+            barred: vec![false; pool.len()],
+            budget: Budget {
+                nodes: 0,
+                deadline,
+                deadline_hit: false,
+            },
+            found: None,
         };
-        let mut found: Option<Vec<Rect>> = None;
         for k in 1..=max_shots {
-            let mut map = IntensityMap::new(model.clone(), cls.frame());
-            let mut chosen: Vec<Rect> = Vec::with_capacity(k);
-            self.dfs(&cls, &pool, &mut map, &mut chosen, k, &mut budget, &mut found);
-            if budget.spent() || found.is_some() {
+            search.dfs(k);
+            if search.budget.spent() || search.found.is_some() {
                 break;
             }
         }
         ExactOutcome {
-            shots: found,
-            nodes: budget.nodes,
-            deadline_hit: budget.deadline_hit,
+            shots: search.found,
+            nodes: search.budget.nodes,
+            deadline_hit: search.budget.deadline_hit,
         }
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn dfs(
-        &self,
-        cls: &Classification,
-        pool: &[Rect],
-        map: &mut IntensityMap,
-        chosen: &mut Vec<Rect>,
-        k: usize,
-        budget: &mut Budget,
-        found: &mut Option<Vec<Rect>>,
-    ) {
-        if found.is_some() || budget.spent() {
+/// The state one search threads through its nodes.
+struct Search<'a> {
+    cls: &'a Classification,
+    pool: &'a [Rect],
+    /// Intensity of `chosen`.
+    map: IntensityMap,
+    chosen: Vec<Rect>,
+    /// Pool entries an ancestor's earlier branch already covered, barred
+    /// from the current subtree.
+    barred: Vec<bool>,
+    budget: Budget,
+    found: Option<Vec<Rect>>,
+}
+
+impl Search<'_> {
+    /// Extends `chosen` to at most `k` shots, stopping at the first
+    /// feasible list.
+    fn dfs(&mut self, k: usize) {
+        if self.found.is_some() || self.budget.spent() {
             return;
         }
-        budget.visit();
-        if budget.deadline_hit {
+        self.budget.visit();
+        if self.budget.deadline_hit {
             return;
         }
-        let summary = evaluate(cls, map);
-        if summary.is_feasible() {
-            *found = Some(chosen.clone());
+        if evaluate(self.cls, &self.map).is_feasible() {
+            self.found = Some(self.chosen.clone());
             return;
         }
-        if chosen.len() == k {
+        let left = k - self.chosen.len();
+        if left == 0 {
             return;
         }
-        // Set-cover branching: the chosen set must eventually satisfy the
-        // first failing Pon pixel, and only shots containing it (within
-        // the blur reach) can.
-        let (on_fail, _) = fail_bitmaps(cls, map);
-        let witness = on_fail.iter_set().next();
-        let Some((wx, wy)) = witness else {
+        let (on_fail, _) = fail_bitmaps(self.cls, &self.map);
+        let Some((wx, wy)) = on_fail.iter_set().next() else {
             // Only Poff failures remain: adding shots cannot fix them.
             return;
         };
-        let (cx, cy) = cls.frame().pixel_center(wx, wy);
-        let reach = map.model().sigma(); // a shot further away cannot lift it to rho
-        for r in pool {
-            if r.distance_to_point_f64(cx, cy) > reach {
-                continue;
+        let (cx, cy) = self.cls.frame().pixel_center(wx, wy);
+        let model = self.map.model();
+        let need = (model.rho() - self.map.value(wx, wy)) / left as f64 - SLACK_TOLERANCE;
+        let branches: Vec<usize> = (0..self.pool.len())
+            .filter(|&i| !self.barred[i] && model.shot_intensity(&self.pool[i], cx, cy) >= need)
+            .collect();
+        for &i in &branches {
+            let shot = self.pool[i];
+            self.chosen.push(shot);
+            self.map.add_shot(&shot);
+            self.dfs(k);
+            self.map.remove_shot(&shot);
+            self.chosen.pop();
+            if self.found.is_some() || self.budget.spent() {
+                break;
             }
-            // Symmetry breaking: enforce non-decreasing candidate order.
-            if let Some(last) = chosen.last() {
-                if rect_key(r) < rect_key(last) {
-                    continue;
-                }
-            }
-            chosen.push(*r);
-            map.add_shot(r);
-            self.dfs(cls, pool, map, chosen, k, budget, found);
-            map.remove_shot(r);
-            chosen.pop();
-            if found.is_some() || budget.spent() {
-                return;
-            }
+            self.barred[i] = true;
+        }
+        for &i in &branches {
+            self.barred[i] = false;
         }
     }
 }
@@ -221,10 +260,6 @@ impl MaskFracturer for ExhaustiveOptimal {
             deadline_hit: outcome.deadline_hit,
         }
     }
-}
-
-fn rect_key(r: &Rect) -> (i64, i64, i64, i64) {
-    (r.x0(), r.y0(), r.x1(), r.y1())
 }
 
 #[cfg(test)]
@@ -297,6 +332,58 @@ mod tests {
         assert!(took < std::time::Duration::from_secs(2), "took {took:?}");
         assert_eq!(result.status, maskfrac_fracture::FractureStatus::Failed);
         assert!(result.shots.is_empty());
+    }
+
+    #[test]
+    fn finds_generating_solutions_in_every_d4_orientation() {
+        // A generated benchmark is written exactly by its generating
+        // shots. With the pool set to those shots, a sound search finds
+        // a solution with at most as many, in every orientation: D4 maps
+        // the pixel grid and the kernel onto themselves.
+        use maskfrac_geom::D4;
+        use maskfrac_shapes::{generate_benchmark, GeneratedParams};
+        let cfg = FractureConfig::default();
+        let model = cfg.model();
+        let exact = ExhaustiveOptimal::new(cfg.clone());
+        let mut missed = Vec::new();
+        for (shots, seeds) in [(2, 10), (3, 5)] {
+            for seed in 0..seeds {
+                let generated = generate_benchmark(
+                    &model,
+                    &GeneratedParams {
+                        shots,
+                        seed,
+                        ..GeneratedParams::default()
+                    },
+                );
+                for t in D4::ALL {
+                    let target = generated.polygon.transform(t);
+                    let pool: Vec<Rect> = generated
+                        .generating_shots
+                        .iter()
+                        .map(|r| t.apply_rect(r))
+                        .collect();
+                    let cls =
+                        Classification::build(&target, cfg.gamma, model.support_radius_px() + 2);
+                    let mut map = IntensityMap::new(model.clone(), cls.frame());
+                    pool.iter().for_each(|r| map.add_shot(r));
+                    assert!(
+                        evaluate(&cls, &map).is_feasible(),
+                        "{shots} shots, seed {seed}, {}: generating shots infeasible",
+                        t.label()
+                    );
+                    let found = exact.search_pool(&cls, &pool, shots, None).shots;
+                    if found.is_none_or(|f| f.len() > shots) {
+                        missed.push(format!("{shots} shots, seed {seed}, {}", t.label()));
+                    }
+                }
+            }
+        }
+        assert!(
+            missed.is_empty(),
+            "missed {} of 120: {missed:?}",
+            missed.len()
+        );
     }
 
     #[test]

@@ -18,7 +18,10 @@ use maskfrac_ebeam::Classification;
 use maskfrac_fracture::refine::{refine, RefineOutcome};
 use maskfrac_fracture::{approximate_fracture, FractureConfig, ModelBasedFracturer};
 use maskfrac_geom::{canonicalize, Point, Polygon, Rect, D4};
-use maskfrac_mdp::{fracture_layout_opts, Layout, LayoutFractureReport, LayoutOptions, Placement};
+use maskfrac_mdp::{
+    fracture_layout_opts, Layout, LayoutFractureReport, LayoutOptions, Placement,
+    ShapeFractureStats,
+};
 use maskfrac_obs::RunReport;
 use std::collections::BTreeSet;
 use std::fmt::Debug;
@@ -230,31 +233,23 @@ fn frame_gate_staircase_shots() {
     drift.assert_none("frame gate");
 }
 
-/// One per-shape report row minus wall clock and cache label:
-/// (shape, shots per instance, instances, fail pixels, method, attempts).
-type ReportRow = (String, usize, usize, usize, String, u32);
-
-fn rows(report: &LayoutFractureReport) -> Vec<ReportRow> {
+/// Report rows with the wall clock, the one run-to-run-variable field,
+/// zeroed.
+fn rows(report: &LayoutFractureReport) -> Vec<ShapeFractureStats> {
     report
         .per_shape
         .iter()
-        .map(|s| {
-            (
-                s.shape.clone(),
-                s.shots_per_instance,
-                s.instances,
-                s.fail_pixels,
-                s.method.clone(),
-                s.attempts,
-            )
+        .map(|s| ShapeFractureStats {
+            runtime_s: 0.0,
+            ..s.clone()
         })
         .collect()
 }
 
-/// Checks every row of `report` against one pinned (shots, fail px)
-/// value shared by all shapes of the suite.
-fn check_each_shape(drift: &mut Drift, report: &LayoutFractureReport, shots: usize, fails: usize) {
-    for s in &report.per_shape {
+/// Checks every row against one pinned (shots, fail px) value shared by
+/// all shapes of the suite.
+fn check_each_shape(drift: &mut Drift, rows: &[ShapeFractureStats], shots: usize, fails: usize) {
+    for s in rows {
         drift.check(&format!("{} shots", s.shape), shots, s.shots_per_instance);
         drift.check(&format!("{} fail px", s.shape), fails, s.fail_pixels);
     }
@@ -296,27 +291,43 @@ fn flat_layout_gate_is_identical_across_threads_and_dedup() {
     drift.fingerprint(FLAT_FINGERPRINT, suite_fingerprint(layout.shapes()));
 
     let cfg = FractureConfig::default();
-    let modes = [(1, false), (4, false), (1, true), (2, true), (4, true)];
-    let reports: Vec<LayoutFractureReport> = modes
-        .iter()
-        .map(|&(threads, dedup_cache)| {
-            let opts = LayoutOptions {
-                threads,
-                dedup_cache,
-                ..LayoutOptions::default()
-            };
-            fracture_layout_opts(&layout, &cfg, &opts)
+    // The no-dedup reference: every entry fractured alone as a
+    // single-shape layout. In the shared run the first alias of each
+    // rectangle computes it and the other three share its result.
+    let reference: Vec<ShapeFractureStats> = layout
+        .shapes()
+        .flat_map(|(name, polygon)| {
+            let mut alone = Layout::new(&layout.name);
+            alone.add_shape(name, polygon.clone());
+            for (_, placement) in layout.placements().filter(|(n, _)| *n == name) {
+                alone.place(name, placement);
+            }
+            let report = fracture_layout_opts(&alone, &cfg, &LayoutOptions::default());
+            rows(&report).into_iter().map(|row| ShapeFractureStats {
+                cache: if row.shape.ends_with("-a0") {
+                    "computed"
+                } else {
+                    "hit"
+                }
+                .to_owned(),
+                ..row
+            })
         })
         .collect();
-    for (&(threads, dedup), report) in modes.iter().zip(&reports).skip(1) {
+    for threads in [1, 2, 4] {
+        let opts = LayoutOptions {
+            threads,
+            ..LayoutOptions::default()
+        };
+        let report = fracture_layout_opts(&layout, &cfg, &opts);
         assert_eq!(
-            rows(report),
-            rows(&reports[0]),
-            "t{threads} dedup={dedup} diverged from t1 without dedup"
+            rows(&report),
+            reference,
+            "t{threads} diverged from the single-shape runs"
         );
     }
-    drift.check("shapes", FLAT_SHAPES, reports[0].per_shape.len());
-    check_each_shape(&mut drift, &reports[0], FLAT_SHOTS_EACH, 0);
+    drift.check("shapes", FLAT_SHAPES, reference.len());
+    check_each_shape(&mut drift, &reference, FLAT_SHOTS_EACH, 0);
     drift.assert_none("flat layout gate");
 }
 
@@ -383,7 +394,6 @@ fn hier_layout_gate_cold_then_warm_geometry_cache() {
     let opts = LayoutOptions {
         threads: 4,
         geom_cache: Some(cache_dir.clone()),
-        ..LayoutOptions::default()
     };
     let cfg = FractureConfig::default();
     let cold = fracture_layout_opts(&layout, &cfg, &opts);
@@ -396,15 +406,25 @@ fn hier_layout_gate_cold_then_warm_geometry_cache() {
     drift.check("warm computed cells", 0, computed(&warm));
     drift.check("cold total shots", HIER_TOTAL_SHOTS, cold.total_shots());
     drift.check("warm total shots", HIER_TOTAL_SHOTS, warm.total_shots());
-    check_each_shape(&mut drift, &cold, HIER_SHOTS_EACH, 0);
+    check_each_shape(&mut drift, &cold.per_shape, HIER_SHOTS_EACH, 0);
     let warm_labels: BTreeSet<&str> = warm.per_shape.iter().map(|s| s.cache.as_str()).collect();
     assert!(
         warm_labels.is_subset(&BTreeSet::from(["disk", "hit"])),
         "warm run computed something: {warm_labels:?}"
     );
+    // The cache label is the one field a warm run legitimately changes.
+    let unlabelled = |r: &LayoutFractureReport| -> Vec<ShapeFractureStats> {
+        rows(r)
+            .into_iter()
+            .map(|s| ShapeFractureStats {
+                cache: String::new(),
+                ..s
+            })
+            .collect()
+    };
     assert_eq!(
-        rows(&warm),
-        rows(&cold),
+        unlabelled(&warm),
+        unlabelled(&cold),
         "warm run diverged from the cold run"
     );
     drift.assert_none("hier layout gate");

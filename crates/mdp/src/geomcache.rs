@@ -1,5 +1,5 @@
 //! Content-addressed, disk-backed geometry cache: the persistent tier
-//! below the in-flight dedup cache.
+//! below the layout driver's per-run dedup.
 //!
 //! A layout run keyed on [canonical geometry](maskfrac_geom::canonicalize)
 //! fractures each D4-and-translation orbit once per *process*. This tier

@@ -24,8 +24,8 @@
 //! reader stops at the first short or checksum-failing frame and keeps
 //! the valid prefix — a torn tail is expected crash aftermath, not an
 //! error. Records are keyed by geometry fingerprint, so a record
-//! serves every library entry sharing that geometry, exactly like the
-//! in-memory dedup cache.
+//! serves every library entry sharing that geometry, exactly like one
+//! computation does within a run.
 //!
 //! # Crash injection
 //!
@@ -62,8 +62,7 @@ pub(crate) const JOURNAL_VERSION: u32 = 1;
 /// list) without re-running the pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalRecord {
-    /// Fingerprint of the geometry key (exact vertex list), the same
-    /// identity the dedup cache shards on.
+    /// Fingerprint of the canonical geometry key (exact vertex list).
     pub geometry: u64,
     /// Delivered status of the fallback ladder.
     pub status: FractureStatus,
@@ -228,8 +227,8 @@ impl Cursor<'_> {
     }
 }
 
-/// Fingerprint of one geometry key (the dedup cache's exact-vertex-list
-/// identity) for journal records.
+/// Fingerprint of one geometry key (the exact vertex list the layout
+/// driver groups entries by) for journal records.
 pub(crate) fn geometry_fingerprint(key: &[u8]) -> u64 {
     faults::fingerprint(key)
 }

@@ -7,13 +7,13 @@
 //! fracturing cost scales with distinct shapes while shot statistics
 //! scale with placements.
 
-use crate::cache::ShardedCache;
 use crate::geomcache::GeomCache;
 use crate::io::CheckpointIoError;
 use crate::journal::{self, JournalRecord, JournalWriter};
 use maskfrac_baselines::{FallbackFracturer, FallbackOutcome};
 use maskfrac_fracture::{faults, FractureConfig, FractureScratch, FractureStatus};
 use maskfrac_geom::{canonicalize, Canonical, Point, Polygon, Rect, D4};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -172,10 +172,14 @@ pub struct ShapeFractureStats {
     pub on_fail_pixels: usize,
     /// Residual Poff violations (exterior pixels above threshold).
     pub off_fail_pixels: usize,
-    /// Dedup-cache outcome for this library entry: `computed`, `hit`,
-    /// `inflight-wait`, `off` (cache disabled), `resumed` (served from
-    /// a checkpoint journal without re-fracturing), or `disk` (served
-    /// from the persistent geometry-cache tier).
+    /// Which tier served this library entry: `computed` (the first
+    /// entry of its geometry in library order, fractured by this run),
+    /// `disk` (that first entry, loaded from the persistent
+    /// geometry-cache tier), `hit` (a later entry with the same canonical
+    /// geometry, sharing the first one's result at 0 s) or `resumed`
+    /// (every entry of a geometry replayed from a checkpoint journal).
+    /// A function of the layout and the persisted tiers alone, never of
+    /// thread timing.
     pub cache: String,
     /// Whether the per-shape deadline cut refinement short.
     pub deadline_hit: bool,
@@ -284,11 +288,6 @@ pub struct LayoutOptions {
     /// Worker threads, clamped to `1..=`[`MAX_LAYOUT_THREADS`] (0 runs
     /// single-threaded instead of panicking).
     pub threads: usize,
-    /// Serve identically-shaped library entries from the geometry dedup
-    /// cache (on by default; turning it off fractures every library
-    /// entry independently — the reference run the flat-layout drift
-    /// gate compares the cached driver against).
-    pub dedup_cache: bool,
     /// Root directory of the persistent geometry-cache tier; `None`
     /// disables it. When set, freshly
     /// computed canonical geometries are persisted and later runs load
@@ -301,7 +300,6 @@ impl Default for LayoutOptions {
     fn default() -> Self {
         LayoutOptions {
             threads: 1,
-            dedup_cache: true,
             geom_cache: None,
         }
     }
@@ -352,16 +350,16 @@ fn geometry_key(polygon: &Polygon) -> Vec<u8> {
 /// own [`FractureScratch`] arena, so per-shape heap allocation amortizes
 /// away across the run.
 ///
-/// Library entries with identical geometry are fractured once and served
-/// from a sharded dedup cache with in-flight tracking: a worker that
-/// requests a geometry another worker is currently fracturing blocks and
-/// reuses that result instead of recomputing it, so the pipeline runs
-/// exactly once per distinct geometry at any thread count
-/// (`mdp.cache.hits` / `mdp.cache.misses` / `mdp.cache.inflight_waits`
-/// in the metrics registry). The whole run is wrapped in the
-/// `mdp.fracture_layout` span and worker threads aggregate into the same
-/// process-global counters, so a `RunReport` captured after this call
-/// reflects the full layout regardless of thread count.
+/// Library entries with the same canonical geometry (equal up to
+/// translation and D4 symmetry) are grouped before any worker starts, and
+/// workers pull distinct geometries, not entries: the pipeline runs
+/// exactly once per distinct geometry at any thread count, and no worker
+/// ever waits on another. The first entry of a group in library order
+/// carries the computation (`mdp.cache.misses`); every later one shares
+/// its result as a `hit` (`mdp.cache.hits`). The whole run is wrapped in
+/// the `mdp.fracture_layout` span and worker threads aggregate into the
+/// same process-global counters, so a `RunReport` captured after this
+/// call reflects the full layout regardless of thread count.
 pub fn fracture_layout_opts(
     layout: &Layout,
     config: &FractureConfig,
@@ -474,12 +472,47 @@ impl Watchdog {
     }
 }
 
-/// One placed library shape, pre-canonicalized: the driver's work unit.
-struct WorkItem<'a> {
+/// One placed library entry, pre-canonicalized.
+struct Member<'a> {
     name: &'a str,
     canonical: Canonical,
-    key: Vec<u8>,
+}
+
+/// One distinct canonical geometry, the driver's work unit: the placed
+/// library entries that share it, in library order.
+struct Group<'a> {
+    /// Fingerprint of the canonical geometry: the journal and
+    /// persistent-tier key.
     geometry: u64,
+    members: Vec<Member<'a>>,
+}
+
+/// Groups the placed library entries by their exact canonical geometry
+/// (the key bytes, not the 64-bit fingerprint), in order of each group's
+/// first entry.
+fn group_by_geometry<'a>(layout: &'a Layout, counts: &BTreeMap<String, usize>) -> Vec<Group<'a>> {
+    let mut groups: Vec<Group<'a>> = Vec::new();
+    let mut by_key: HashMap<Vec<u8>, usize> = HashMap::new();
+    for (name, polygon) in layout
+        .shapes()
+        .filter(|(name, _)| counts.contains_key(*name))
+    {
+        let canonical = canonicalize(polygon);
+        let key = geometry_key(&canonical.polygon);
+        let member = Member { name, canonical };
+        match by_key.entry(key) {
+            Entry::Occupied(group) => groups[*group.get()].members.push(member),
+            Entry::Vacant(slot) => {
+                let geometry = journal::geometry_fingerprint(slot.key());
+                slot.insert(groups.len());
+                groups.push(Group {
+                    geometry,
+                    members: vec![member],
+                });
+            }
+        }
+    }
+    groups
 }
 
 /// The shared layout driver behind [`fracture_layout_opts`] and
@@ -501,24 +534,11 @@ fn drive_layout(
         maskfrac_obs::counter!("mdp.journal.replayed").add(state.replay.len() as u64);
     }
     let counts = layout.placement_counts();
-    // Canonicalize up front: every cache tier — in-flight, journal, and
-    // persistent — keys on the canonical form, so mirrored/rotated
-    // library entries of one cell all resolve to the same entry.
-    let work: Vec<WorkItem<'_>> = layout
-        .shapes()
-        .filter(|(name, _)| counts.contains_key(*name))
-        .map(|(name, polygon)| {
-            let canonical = canonicalize(polygon);
-            let key = geometry_key(&canonical.polygon);
-            let geometry = journal::geometry_fingerprint(&key);
-            WorkItem {
-                name,
-                canonical,
-                key,
-                geometry,
-            }
-        })
-        .collect();
+    // Every tier — journal and persistent — keys on the canonical form,
+    // and the whole pipeline (fault fingerprints included) is a function
+    // of canonical geometry and config, so mirrored/rotated entries of
+    // one cell share one result.
+    let groups = group_by_geometry(layout, &counts);
 
     let driver = Driver {
         // The persistent tier is strictly optional: a directory that
@@ -538,107 +558,99 @@ fn drive_layout(
                     })
                     .ok()
             }),
-        // Shapes placed under different names but with D4-equivalent
-        // geometry produce one shared result (the whole pipeline —
-        // including fault fingerprints — is a function of canonical
-        // geometry and config), so one fracturing run serves them all.
-        cache: options.dedup_cache.then(ShardedCache::new),
         journal,
         watchdog: Watchdog::default(),
         counts,
-        results: Mutex::new(Vec::new()),
-        shot_lists: Mutex::new(BTreeMap::new()),
     };
     let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(work.len().max(1)) {
-            scope.spawn(|| {
-                // One ladder and one scratch arena per worker: Lth
-                // derivation and the hot-path buffers are shared per
-                // thread, shapes pull work-stealing style off the queue.
-                let fracturer = FallbackFracturer::new(config.clone());
-                let mut scratch = FractureScratch::new();
-                while let Some(item) = work.get(next.fetch_add(1, Ordering::Relaxed)) {
-                    driver.deliver(item, &fracturer, &mut scratch);
-                }
-            });
-        }
+    let mut delivered: Vec<Delivered> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.min(groups.len().max(1)))
+            .map(|_| {
+                scope.spawn(|| {
+                    // One ladder and one scratch arena per worker: Lth
+                    // derivation and the hot-path buffers are shared per
+                    // thread, geometries pull work-stealing style off the
+                    // queue.
+                    let fracturer = FallbackFracturer::new(config.clone());
+                    let mut scratch = FractureScratch::new();
+                    let mut out = Vec::new();
+                    while let Some(group) = groups.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        driver.deliver(group, &fracturer, &mut scratch, &mut out);
+                    }
+                    out
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|worker| {
+                worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
     });
-
-    // A worker that somehow died mid-push must not strand the run:
-    // recover the data from a poisoned lock.
-    let mut per_shape = driver
-        .results
-        .into_inner()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    per_shape.sort_by(|a, b| a.shape.cmp(&b.shape));
+    delivered.sort_by(|a, b| a.0.shape.cmp(&b.0.shape));
+    let (per_shape, shots): (Vec<ShapeFractureStats>, Vec<Vec<Rect>>) =
+        delivered.into_iter().unzip();
+    let shape_shots = per_shape
+        .iter()
+        .map(|s| s.shape.clone())
+        .zip(shots)
+        .collect();
     LayoutFractureReport {
         layout: layout.name.clone(),
         per_shape,
-        shape_shots: driver
-            .shot_lists
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner()),
+        shape_shots,
     }
 }
+
+/// One delivered library entry: its report row and its local-frame shots.
+type Delivered = (ShapeFractureStats, Vec<Rect>);
 
 /// What the workers of one layout run share.
 struct Driver<'a> {
     geomcache: Option<GeomCache>,
-    /// The in-flight dedup cache; the flag says the record was served by
-    /// the persistent tier rather than computed.
-    cache: Option<ShardedCache<(JournalRecord, bool)>>,
     journal: Option<&'a JournalState>,
     watchdog: Watchdog,
     /// Placement count per shape name.
     counts: BTreeMap<String, usize>,
-    results: Mutex<Vec<ShapeFractureStats>>,
-    shot_lists: Mutex<BTreeMap<String, Vec<Rect>>>,
 }
 
 impl Driver<'_> {
-    /// Serves one library entry from the first tier that has it and
-    /// records it: status tally, ledger point, shot list and row — the
-    /// one delivery point, so every entry is counted exactly once.
+    /// Serves one distinct geometry from the first tier that has it —
+    /// journal replay, persistent tier, then the ladder — and records it
+    /// for every member of its group: status tally, ledger point, shot
+    /// list and row. The one delivery point, so every entry is counted
+    /// exactly once.
     fn deliver(
         &self,
-        item: &WorkItem<'_>,
+        group: &Group<'_>,
         fracturer: &FallbackFracturer,
         scratch: &mut FractureScratch,
+        out: &mut Vec<Delivered>,
     ) {
-        let name = item.name;
+        let first = &group.members[0];
         let replayed = self
             .journal
-            .and_then(|state| state.replay.get(&item.geometry));
+            .and_then(|state| state.replay.get(&group.geometry));
         let served;
-        let (record, cache_label, runtime_s) = match replayed {
-            // A journal replay serves the shape without touching the
+        let (record, first_label, first_runtime_s, alias_label) = match replayed {
+            // A journal replay serves the group without touching the
             // pipeline: no ladder spans, no wall time, so a resumed run
             // cannot skew stage quantiles.
-            Some(record) => (record, "resumed", 0.0),
+            Some(record) => (record, "resumed", 0.0, "resumed"),
             None => {
                 let started = std::time::Instant::now();
-                let ((record, from_disk), lookup) = match &self.cache {
-                    Some(cache) => {
-                        cache.get_or_compute(&item.key, || self.fracture(item, fracturer, scratch))
-                    }
-                    None => (
-                        self.fracture(item, fracturer, scratch),
-                        crate::cache::CacheLookup::Computed,
-                    ),
-                };
+                let (record, from_disk) = self.fracture(group, fracturer, scratch);
                 let runtime_s = started.elapsed().as_secs_f64();
-                let cache_label = if from_disk && lookup.computed() {
-                    "disk"
-                } else if self.cache.is_some() {
-                    lookup.label()
-                } else {
-                    "off"
-                };
+                maskfrac_obs::counter!("mdp.cache.misses").incr();
+                maskfrac_obs::counter!("mdp.cache.hits").add(group.members.len() as u64 - 1);
                 // Only genuine pipeline runs feed the watchdog: disk
-                // loads (like cache hits) take microseconds and would
-                // otherwise crater the p99 baseline.
-                if lookup.computed() && !from_disk && self.watchdog.observe(runtime_s) {
+                // loads take microseconds and would otherwise crater the
+                // p99 baseline.
+                if !from_disk && self.watchdog.observe(runtime_s) {
+                    let name = first.name;
                     maskfrac_obs::counter!("mdp.watchdog.flagged").incr();
                     maskfrac_obs::point_with(
                         "mdp.watchdog_flag",
@@ -653,57 +665,61 @@ impl Driver<'_> {
                     );
                 }
                 served = record;
-                (&served, cache_label, runtime_s)
+                let label = if from_disk { "disk" } else { "computed" };
+                (&served, label, runtime_s, "hit")
             }
         };
-        record.status.tally();
-        let stats = shape_row(record, name, self.counts[name], runtime_s, cache_label);
-        maskfrac_obs::counter!("mdp.shapes_fractured").incr();
-        maskfrac_obs::counter!("mdp.instances_covered").add(stats.instances as u64);
-        emit_shape_done(&stats);
-        // Canonical-frame shots map back to the shape's local frame
-        // through its canonical transform.
-        let local_shots = record
-            .shots
-            .iter()
-            .map(|s| {
-                item.canonical
-                    .from_canonical
-                    .apply_rect(s)
-                    .translate(item.canonical.offset)
-            })
-            .collect();
-        self.shot_lists
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .insert(name.to_owned(), local_shots);
-        self.results
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .push(stats);
+        for (i, member) in group.members.iter().enumerate() {
+            let (label, runtime_s) = if i == 0 {
+                (first_label, first_runtime_s)
+            } else {
+                (alias_label, 0.0)
+            };
+            let name = member.name;
+            record.status.tally();
+            let stats = shape_row(record, name, self.counts[name], runtime_s, label);
+            maskfrac_obs::counter!("mdp.shapes_fractured").incr();
+            maskfrac_obs::counter!("mdp.instances_covered").add(stats.instances as u64);
+            emit_shape_done(&stats);
+            // Canonical-frame shots map back to the member's local frame
+            // through its canonical transform.
+            let local_shots = record
+                .shots
+                .iter()
+                .map(|s| {
+                    member
+                        .canonical
+                        .from_canonical
+                        .apply_rect(s)
+                        .translate(member.canonical.offset)
+                })
+                .collect();
+            out.push((stats, local_shots));
+        }
     }
 
-    /// Fractures one library entry's canonical geometry, or loads it
-    /// from the persistent tier. A disk load is re-journaled so a resume
-    /// stays self-contained without the cache directory; a fresh result
-    /// is journaled and persisted unless its deadline cut it short (it
-    /// then depends on wall clock, and a later run may do better).
-    /// Returns the record and whether it came from disk.
+    /// Fractures one group's canonical geometry, or loads it from the
+    /// persistent tier. A disk load is re-journaled so a resume stays
+    /// self-contained without the cache directory; a fresh result is
+    /// journaled and persisted unless its deadline cut it short (it then
+    /// depends on wall clock, and a later run may do better). Returns the
+    /// record and whether it came from disk.
     fn fracture(
         &self,
-        item: &WorkItem<'_>,
+        group: &Group<'_>,
         fracturer: &FallbackFracturer,
         scratch: &mut FractureScratch,
     ) -> (JournalRecord, bool) {
         let disk = self.geomcache.as_ref();
-        if let Some(record) = disk.and_then(|gc| gc.load(item.geometry)) {
+        if let Some(record) = disk.and_then(|gc| gc.load(group.geometry)) {
             if let Some(state) = self.journal {
                 append_journal_record(state, &record);
             }
             return (record, true);
         }
-        let outcome = fracturer.fracture_with(&item.canonical.polygon, scratch);
-        let record = outcome_record(item.geometry, outcome);
+        let first = &group.members[0];
+        let outcome = fracturer.fracture_with(&first.canonical.polygon, scratch);
+        let record = outcome_record(group.geometry, outcome);
         if record.deadline_hit {
             return (record, false);
         }
@@ -713,7 +729,7 @@ impl Driver<'_> {
         if let Some(Err(e)) = disk.map(|gc| gc.store(&record)) {
             eprintln!(
                 "maskfrac: geometry cache store failed for {:?}: {e}",
-                item.name
+                first.name
             );
         }
         (record, false)
@@ -956,25 +972,10 @@ mod tests {
             assert_eq!(rec.status, s.status.label());
             assert_eq!(rec.on_fail_pixels + rec.off_fail_pixels, rec.fail_pixels);
             assert!(
-                ["computed", "hit", "inflight-wait", "off", "resumed", "disk"]
-                    .contains(&rec.cache.as_str())
+                maskfrac_obs::ledger::KNOWN_CACHE_LABELS.contains(&rec.cache.as_str()),
+                "{}",
+                rec.cache
             );
-        }
-    }
-
-    #[test]
-    fn cache_off_labels_every_shape_off() {
-        let report = fracture_layout_opts(
-            &demo_layout(),
-            &FractureConfig::default(),
-            &LayoutOptions {
-                threads: 2,
-                dedup_cache: false,
-                ..LayoutOptions::default()
-            },
-        );
-        for s in &report.per_shape {
-            assert_eq!(s.cache, "off");
         }
     }
 
@@ -1188,7 +1189,6 @@ mod tests {
             .filter(|s| s.cache == "computed")
             .count();
         assert_eq!(computed, 1, "one fracture per canonical orbit");
-        assert!(report.per_shape.iter().all(|s| s.cache != "off"));
         let shots: Vec<usize> = report.per_shape.iter().map(|s| s.shots_per_instance).collect();
         assert!(
             shots.windows(2).all(|w| w[0] == w[1]),
@@ -1236,26 +1236,18 @@ mod tests {
     #[test]
     fn shot_output_is_identical_across_cache_tiers() {
         let _faults = inert_faults();
-        // The same cell served fresh, from the in-flight dedup cache,
-        // from the persistent tier and from a checkpoint journal must
-        // yield byte-identical shots and the same report row.
+        // The same cell served fresh, as a dedup hit, from the
+        // persistent tier and from a checkpoint journal must yield
+        // byte-identical shots and the same report row.
         let cell = l_cell();
         let cfg = FractureConfig::default();
         let mut base = Layout::new("tiers");
         base.add_shape("cell", cell.clone());
         base.place("cell", Placement::at(0, 0));
 
-        // Fresh: every tier disabled.
-        let fresh = fracture_layout_opts(
-            &base,
-            &cfg,
-            &LayoutOptions {
-                threads: 1,
-                dedup_cache: false,
-                ..LayoutOptions::default()
-            },
-        );
-        assert_eq!(fresh.per_shape[0].cache, "off");
+        // Fresh: one entry, no persisted tier.
+        let fresh = fracture_layout_opts(&base, &cfg, &with_threads(1));
+        assert_eq!(fresh.per_shape[0].cache, "computed");
         let fresh_shots = fresh.shape_shots["cell"].clone();
         assert!(!fresh_shots.is_empty());
         let fresh_row = essence_row(&fresh.per_shape[0]);
@@ -1275,8 +1267,8 @@ mod tests {
             assert_eq!(report.shape_shots[name], fresh_shots, "{label} shots");
         };
 
-        // In-flight tier: a second entry with the same local geometry
-        // hits the dedup cache.
+        // Dedup: a second entry with the same local geometry shares the
+        // first one's result.
         let mut dup = Layout::new("tiers-dup");
         dup.add_shape("a", cell.clone());
         dup.add_shape("b", cell.clone());
@@ -1291,7 +1283,6 @@ mod tests {
         let with_cache = LayoutOptions {
             threads: 1,
             geom_cache: Some(dir.clone()),
-            ..LayoutOptions::default()
         };
         let cold = fracture_layout_opts(&base, &cfg, &with_cache);
         same_as_fresh(&cold, "cell", "computed");
@@ -1318,7 +1309,7 @@ mod tests {
     fn journal_and_cache_agree_on_geometry_fingerprints() {
         let _faults = inert_faults();
         // The journal persists the same stable FNV-1a fingerprints the
-        // in-flight cache keys on: a save/load round trip must come back
+        // driver computes per geometry: a save/load round trip must come back
         // with exactly the canonical fingerprints of the fractured
         // shapes — on every Rust release (the reason `DefaultHasher`
         // is banned from both paths).

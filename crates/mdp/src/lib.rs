@@ -41,7 +41,6 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-mod cache;
 pub mod cost;
 mod geomcache;
 pub mod io;

@@ -1,5 +1,6 @@
-//! Regression test for the layout dedup cache: the fracturing pipeline
-//! must run *exactly once per distinct geometry* at any thread count.
+//! Regression test for layout dedup: the fracturing pipeline must run
+//! *exactly once per distinct geometry* at any thread count, and every
+//! per-shape row but its wall clock must be the same at any thread count.
 //!
 //! Lives in its own integration-test binary because it asserts on deltas
 //! of process-global counters; sharing a process with unrelated tests
@@ -8,7 +9,10 @@
 
 use maskfrac_fracture::FractureConfig;
 use maskfrac_geom::{Polygon, Rect};
-use maskfrac_mdp::{fracture_layout_opts, Layout, LayoutFractureReport, LayoutOptions, Placement};
+use maskfrac_mdp::{
+    fracture_layout_opts, Layout, LayoutFractureReport, LayoutOptions, Placement,
+    ShapeFractureStats,
+};
 
 /// Layout with 9 library entries but only 3 distinct geometries: each
 /// geometry appears under three names, every entry placed twice.
@@ -36,25 +40,42 @@ fn counter(name: &'static str) -> u64 {
     maskfrac_obs::counter(name).get()
 }
 
-/// One report row minus the wall-clock field: (shape, shots_per_instance,
-/// instances, fail_pixels, method, attempts).
-type ReportRow = (String, usize, usize, usize, String, u32);
-
-/// Report rows with the wall-clock field dropped (the only
-/// run-to-run-variable field).
-fn rows(report: &LayoutFractureReport) -> Vec<ReportRow> {
+/// Report rows with the wall clock, the one run-to-run-variable field,
+/// zeroed.
+fn rows(report: &LayoutFractureReport) -> Vec<ShapeFractureStats> {
     report
         .per_shape
         .iter()
-        .map(|s| {
-            (
-                s.shape.clone(),
-                s.shots_per_instance,
-                s.instances,
-                s.fail_pixels,
-                s.method.clone(),
-                s.attempts,
-            )
+        .map(|s| ShapeFractureStats {
+            runtime_s: 0.0,
+            ..s.clone()
+        })
+        .collect()
+}
+
+/// The no-dedup reference: every library entry fractured alone, as a
+/// single-shape layout with the same placements, relabelled with the
+/// tier the aliased run must report (the first alias of each geometry in
+/// library order computes it, the others share it).
+fn single_shape_reference(layout: &Layout, cfg: &FractureConfig) -> Vec<ShapeFractureStats> {
+    layout
+        .shapes()
+        .flat_map(|(name, polygon)| {
+            let mut alone = Layout::new(&layout.name);
+            alone.add_shape(name, polygon.clone());
+            for (_, placement) in layout.placements().filter(|(n, _)| *n == name) {
+                alone.place(name, placement);
+            }
+            let report = fracture_layout_opts(&alone, cfg, &LayoutOptions::default());
+            rows(&report).into_iter().map(|row| ShapeFractureStats {
+                cache: if row.shape.ends_with("alias0") {
+                    "computed"
+                } else {
+                    "hit"
+                }
+                .to_owned(),
+                ..row
+            })
         })
         .collect()
 }
@@ -66,7 +87,8 @@ fn pipeline_runs_exactly_once_per_distinct_geometry() {
     const DISTINCT: u64 = 3;
     const ENTRIES: u64 = 9;
 
-    let mut reference: Option<Vec<ReportRow>> = None;
+    let reference = single_shape_reference(&layout, &cfg);
+    assert_eq!(reference.len(), ENTRIES as usize);
     for threads in [1usize, 2, 8] {
         let (misses0, hits0) = (counter("mdp.cache.misses"), counter("mdp.cache.hits"));
         let options = LayoutOptions {
@@ -83,37 +105,15 @@ fn pipeline_runs_exactly_once_per_distinct_geometry() {
         assert_eq!(
             hits,
             ENTRIES - DISTINCT,
-            "every aliased entry must be served from cache at {threads} threads"
+            "every aliased entry must share its geometry's result at {threads} threads"
         );
-        assert_eq!(report.per_shape.len(), ENTRIES as usize);
-        match &reference {
-            None => reference = Some(rows(&report)),
-            Some(expected) => assert_eq!(&rows(&report), expected, "at {threads} threads"),
+        assert_eq!(rows(&report), reference, "at {threads} threads");
+        for s in report.per_shape.iter().filter(|s| s.cache == "hit") {
+            assert_eq!(
+                s.runtime_s, 0.0,
+                "{} shares a result, so spends no time",
+                s.shape
+            );
         }
     }
-
-    // In-flight waits only ever happen on concurrent runs; the serial run
-    // can never block behind another worker. (Whether the multi-threaded
-    // runs actually overlapped is scheduling-dependent, so only the
-    // "computed exactly once" guarantee above is asserted for them.)
-
-    // Cache off: every library entry is fractured independently and the
-    // cache counters stay untouched — yet the report is identical.
-    let (misses0, hits0) = (counter("mdp.cache.misses"), counter("mdp.cache.hits"));
-    let uncached = fracture_layout_opts(
-        &layout,
-        &cfg,
-        &LayoutOptions {
-            threads: 2,
-            dedup_cache: false,
-            ..LayoutOptions::default()
-        },
-    );
-    assert_eq!(counter("mdp.cache.misses") - misses0, 0);
-    assert_eq!(counter("mdp.cache.hits") - hits0, 0);
-    assert_eq!(
-        rows(&uncached),
-        reference.expect("reference rows"),
-        "cache mode must not change the report"
-    );
 }

@@ -90,7 +90,6 @@ fn report_is_identical_across_thread_counts_under_injected_faults() {
         &cfg,
         &LayoutOptions {
             threads: 1,
-            dedup_cache: true,
             ..LayoutOptions::default()
         },
     );
@@ -108,7 +107,6 @@ fn report_is_identical_across_thread_counts_under_injected_faults() {
             &cfg,
             &LayoutOptions {
                 threads,
-                dedup_cache: true,
                 ..LayoutOptions::default()
             },
         );

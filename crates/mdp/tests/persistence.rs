@@ -85,7 +85,6 @@ fn fault_injected_results_are_never_persisted() {
         let options = LayoutOptions {
             threads: 2,
             geom_cache: Some(cache.clone()),
-            ..LayoutOptions::default()
         };
         {
             let _scope = faults::arm_scoped(plan);

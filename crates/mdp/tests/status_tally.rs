@@ -56,7 +56,6 @@ fn status_counters_sum_to_the_ledger_on_every_tier() {
     let cached = LayoutOptions {
         threads: 2,
         geom_cache: Some(dir.clone()),
-        ..LayoutOptions::default()
     };
     let cold = run_and_check("cold", &cached);
     assert!(cold.per_shape.iter().any(|s| s.cache == "computed"));

@@ -3,8 +3,8 @@
 //! The file-artifact event stream ([`crate::event`]) buffers everything
 //! per thread and drains once at the end of a run. That is the right
 //! shape for post-mortem artifacts but useless for a live consumer — a
-//! telemetry endpoint, a progress sampler, a future `maskfrac serve`
-//! job watcher — that wants events *while the run is going*.
+//! telemetry endpoint, a future `maskfrac serve` job watcher — that
+//! wants events *while the run is going*.
 //!
 //! This module adds a process-global publish/subscribe layer next to
 //! the capture buffers:

@@ -29,8 +29,7 @@ pub(crate) const MAX_ANOMALY_IDS: usize = 32;
 
 /// Cache-outcome labels a [`ShapeRecord::cache`] may carry. The empty
 /// string is also accepted (records from paths without a dedup cache).
-pub const KNOWN_CACHE_LABELS: [&str; 6] =
-    ["computed", "hit", "inflight-wait", "off", "resumed", "disk"];
+pub const KNOWN_CACHE_LABELS: [&str; 4] = ["computed", "hit", "resumed", "disk"];
 
 /// One row of the worst-K outlier table: a shape that dominated the run's
 /// wall clock.

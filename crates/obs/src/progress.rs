@@ -13,16 +13,10 @@
 //! stdout results stay machine-parsable. Counter handles are resolved
 //! once up front; the loop itself does no registry-map lookups.
 //!
-//! The `cache-hit` ratio spans *both* dedup tiers: the in-flight
-//! in-memory cache (`mdp.cache.*`) and the persistent `--geom-cache`
-//! disk tier (`mdp.geomcache.*`) — a warm disk cache therefore reports
-//! its true hit rate even though every disk hit is also an in-memory
-//! miss.
-//!
-//! The sampler is also a first-party subscriber of the broadcast bus
-//! ([`crate::bus`]): each tick drains its ring and counts the events
-//! seen ([`ProgressSnapshot::bus_events`]), which keeps the bus's
-//! subscriber path exercised on every `--progress-ms` run.
+//! The `cache-hit` ratio spans *both* dedup tiers: the layout driver's
+//! per-run dedup (`mdp.cache.*`) and the persistent `--geom-cache` disk
+//! tier (`mdp.geomcache.*`) — a warm disk cache therefore reports its
+//! true hit rate even though every disk hit is also a dedup miss.
 //!
 //! Counters are process-global and cumulative, so the sampler records a
 //! baseline at start and reports deltas — a second run in the same
@@ -39,20 +33,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Ring capacity of the sampler's bus subscription: generous, so a
-/// fast-emitting run between two ticks never shows up as
-/// `obs.bus.dropped` (CI asserts zero drops on the smoke layout).
-const BUS_RING_CAPACITY: usize = 16384;
-
 /// Counters the sampler reads, resolved once at start.
 struct Sources {
     shapes: &'static Counter,
     shots: &'static Counter,
     cache_hits: &'static Counter,
     cache_misses: &'static Counter,
-    cache_waits: &'static Counter,
     geom_hits: &'static Counter,
-    geom_misses: &'static Counter,
 }
 
 impl Sources {
@@ -62,26 +49,21 @@ impl Sources {
             shots: counter("fracture.shots_emitted"),
             cache_hits: counter("mdp.cache.hits"),
             cache_misses: counter("mdp.cache.misses"),
-            cache_waits: counter("mdp.cache.inflight_waits"),
             geom_hits: counter("mdp.geomcache.hits"),
-            geom_misses: counter("mdp.geomcache.misses"),
         }
     }
 
-    /// Hits across both tiers. A disk hit is recorded as an in-memory
-    /// miss *and* a `mdp.geomcache.hits`, so the sum never double
-    /// counts.
+    /// Hits across both tiers. A disk hit is recorded as a dedup miss
+    /// *and* a `mdp.geomcache.hits`, so the sum never double counts.
     fn hits(&self) -> u64 {
         self.cache_hits.get() + self.geom_hits.get()
     }
 
-    /// Distinct cache lookups. When the in-memory tier is on, every
-    /// disk consultation happens inside one of its misses, so
-    /// `max(misses, disk lookups)` counts each geometry once whether
-    /// the disk tier is on, off, or running without the memory tier.
+    /// Cache lookups: every library entry served outside a journal
+    /// replay is one dedup hit or miss, and every disk consultation
+    /// happens inside one of those misses.
     fn lookups(&self) -> u64 {
-        let disk = self.geom_hits.get() + self.geom_misses.get();
-        self.cache_hits.get() + self.cache_waits.get() + self.cache_misses.get().max(disk)
+        self.cache_hits.get() + self.cache_misses.get()
     }
 
     fn snapshot(
@@ -89,7 +71,6 @@ impl Sources {
         baseline: &ProgressSnapshot,
         elapsed: Duration,
         total: Option<u64>,
-        bus_events: u64,
     ) -> ProgressSnapshot {
         ProgressSnapshot {
             elapsed_s: elapsed.as_secs_f64(),
@@ -98,7 +79,6 @@ impl Sources {
             shots: self.shots.get().saturating_sub(baseline.shots),
             cache_hits: self.hits().saturating_sub(baseline.cache_hits),
             cache_lookups: self.lookups().saturating_sub(baseline.cache_lookups),
-            bus_events,
         }
     }
 
@@ -110,7 +90,6 @@ impl Sources {
             shots: self.shots.get(),
             cache_hits: self.hits(),
             cache_lookups: self.lookups(),
-            bus_events: 0,
         }
     }
 }
@@ -126,16 +105,13 @@ pub struct ProgressSnapshot {
     pub total_shapes: Option<u64>,
     /// Shots emitted so far (delta from sampler start).
     pub shots: u64,
-    /// Cache hits so far across both dedup tiers — in-memory
+    /// Cache hits so far across both dedup tiers — per-run dedup
     /// (`mdp.cache.hits`) plus persistent disk (`mdp.geomcache.hits`)
     /// — as a delta from sampler start.
     pub cache_hits: u64,
     /// Distinct cache lookups so far across both tiers (delta from
     /// sampler start); see the module docs for the tier accounting.
     pub cache_lookups: u64,
-    /// Broadcast-bus events the sampler's own subscription has drained
-    /// since it started (0 in snapshots built without a sampler).
-    pub bus_events: u64,
 }
 
 impl ProgressSnapshot {
@@ -180,9 +156,6 @@ impl ProgressSampler {
         let sources = Sources::resolve();
         let baseline = sources.baseline();
         let started = Instant::now();
-        // Subscribe before the thread runs so events from the very
-        // first shape are already flowing into the ring.
-        let subscriber = crate::bus::subscribe_with_capacity(BUS_RING_CAPACITY);
         let handle = std::thread::Builder::new()
             .name("obs-progress".into())
             .spawn(move || {
@@ -191,7 +164,6 @@ impl ProgressSampler {
                     Ok(g) => g,
                     Err(_) => return,
                 };
-                let mut bus_events: u64 = 0;
                 loop {
                     // Re-check the flag before parking: stop() may have
                     // signalled between this thread's spawn and its
@@ -209,8 +181,7 @@ impl ProgressSampler {
                             Err(_) => return,
                         }
                     };
-                    bus_events += subscriber.try_drain().len() as u64;
-                    let snap = sources.snapshot(&baseline, started.elapsed(), total_shapes, bus_events);
+                    let snap = sources.snapshot(&baseline, started.elapsed(), total_shapes);
                     if let Ok(mut slot) = thread_latest.lock() {
                         *slot = Some(snap.clone());
                     }
@@ -279,7 +250,6 @@ mod tests {
             shots: 1204,
             cache_hits: 382,
             cache_lookups: 1000,
-            bus_events: 0,
         };
         assert_eq!(
             snap.line(),
@@ -307,7 +277,7 @@ mod tests {
         let baseline = sources.baseline();
         counter("mdp.shapes_fractured").add(7);
         counter("fracture.shots_emitted").add(21);
-        let snap = sources.snapshot(&baseline, Duration::from_millis(1500), Some(9), 0);
+        let snap = sources.snapshot(&baseline, Duration::from_millis(1500), Some(9));
         assert!(snap.shapes_done >= 7);
         assert!(snap.shots >= 21);
         assert_eq!(snap.total_shapes, Some(9));
@@ -318,12 +288,12 @@ mod tests {
     fn cache_ratio_includes_the_disk_tier() {
         let sources = Sources::resolve();
         let baseline = sources.baseline();
-        // A warm --geom-cache run: every lookup misses the in-memory
-        // tier, but three of four geometries come back from disk.
+        // A warm --geom-cache run: every lookup misses the per-run
+        // dedup, but three of four geometries come back from disk.
         counter("mdp.cache.misses").add(4);
         counter("mdp.geomcache.hits").add(3);
         counter("mdp.geomcache.misses").add(1);
-        let snap = sources.snapshot(&baseline, Duration::from_secs(1), None, 0);
+        let snap = sources.snapshot(&baseline, Duration::from_secs(1), None);
         assert!(
             snap.cache_hits >= 3,
             "disk hits must count as cache hits, got {}",
@@ -351,22 +321,5 @@ mod tests {
         let snap = sampler.stop().expect("final snapshot");
         assert_eq!(snap.total_shapes, Some(5));
         assert!(snap.shapes_done >= 2);
-    }
-
-    #[test]
-    fn sampler_subscribes_to_the_bus() {
-        let sampler = ProgressSampler::start(Duration::from_millis(10), None);
-        // The sampler's subscription makes the bus live, so points emit
-        // even with file capture off.
-        for _ in 0..5 {
-            crate::event::point_with("t.progress.bus_ping", []);
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let snap = sampler.stop().expect("final snapshot");
-        assert!(
-            snap.bus_events >= 1,
-            "sampler should have drained bus events, saw {}",
-            snap.bus_events
-        );
     }
 }

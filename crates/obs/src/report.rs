@@ -107,10 +107,9 @@ pub struct ShapeRecord {
     pub on_fail_pixels: usize,
     /// Residual Poff violations: exterior pixels still above threshold.
     pub off_fail_pixels: usize,
-    /// Dedup-cache outcome: one of [`ledger::KNOWN_CACHE_LABELS`]
-    /// (`computed`, `hit`, `inflight-wait`, `off`, `resumed`, `disk`) or
-    /// empty when the
-    /// producing path has no cache.
+    /// Which tier served the shape: one of
+    /// [`ledger::KNOWN_CACHE_LABELS`] (`computed`, `hit`, `resumed`,
+    /// `disk`), or empty when the producing path has no cache.
     pub cache: String,
     /// Whether the per-shape wall-clock deadline cut refinement short.
     pub deadline_hit: bool,

@@ -14,11 +14,14 @@
 //!
 //! Shapes travel as the JSON format of
 //! [`maskfrac::shapes::io::ShapeFile`]; methods are `ours` (default),
-//! `gsc`, `mp`, `proto-eda`, `conventional`, `exact`. `exact` proves
-//! optima only on tiny shapes (1–2 shots, up to ~90 nm): on every
-//! `benchmarks/agb-*.json` it returns 0 shots `[failed]` — on AGB-1 and
-//! AGB-5 (known 3-shot solutions) it exhausts its 2,000,000-node budget
-//! after 50–100 s, and AGB-2/3/4 exceed its 6-shot cap. Unknown flags,
+//! `gsc`, `mp`, `proto-eda`, `conventional`, `exact`. `exact` searches
+//! a finite candidate pool; a search that completes within its
+//! 2,000,000-node budget (and `--deadline-ms`) proves that no shorter
+//! feasible shot list exists *in that pool*, and nothing about shots
+//! outside it. It completes only on tiny shapes (1–2 shots, up to
+//! ~90 nm): on AGB-1 and AGB-5 (known 3-shot solutions) it exhausts
+//! the budget after 60–90 s and returns 0 shots `[failed]`, and the
+//! known solutions of AGB-2/3/4 exceed its 6-shot cap. Unknown flags,
 //! malformed numbers, and degenerate shapes are reported with a typed
 //! message and a non-zero exit instead of a panic; `--deadline-ms`
 //! bounds the refinement wall clock (best-so-far results are tagged
@@ -455,7 +458,6 @@ fn cmd_fracture_layout(args: &[String]) -> Result<(), Box<dyn std::error::Error>
     let options = maskfrac::mdp::LayoutOptions {
         threads,
         geom_cache: flag_value(args, "--geom-cache").map(std::path::PathBuf::from),
-        ..maskfrac::mdp::LayoutOptions::default()
     };
     let _faults = fault_scope_from_flags(args)?;
     let started = std::time::Instant::now();
