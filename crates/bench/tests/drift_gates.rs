@@ -339,6 +339,20 @@ const HIER_CELLS: usize = 120;
 const HIER_PLACEMENTS: usize = 850;
 const HIER_SHOTS_EACH: usize = 2;
 const HIER_TOTAL_SHOTS: usize = 204_000;
+/// Order-sensitive checksum of the warm run's `placed_shots`: every
+/// world-frame shot of every instance, in placement order.
+const HIER_PLACED_CHECKSUM: u64 = 3_059_064_980_769_966_252;
+
+/// Count and order-sensitive checksum (an FNV-1a-style fold of every
+/// corner coordinate) of a run's placed shots.
+fn placed_checksum(report: &LayoutFractureReport, layout: &Layout) -> (usize, u64) {
+    report.placed_shots(layout).fold((0, 0), |(n, h), r| {
+        let h = [r.x0(), r.y0(), r.x1(), r.y1()]
+            .into_iter()
+            .fold(h, |h, v| (h ^ v as u64).wrapping_mul(0x0000_0100_0000_01b3));
+        (n + 1, h)
+    })
+}
 
 /// `cells` asymmetric L cells (every dimension pair distinct, so their D4
 /// orbits are disjoint), each placed `placements` times under a seeded
@@ -407,6 +421,11 @@ fn hier_layout_gate_cold_then_warm_geometry_cache() {
     drift.check("cold total shots", HIER_TOTAL_SHOTS, cold.total_shots());
     drift.check("warm total shots", HIER_TOTAL_SHOTS, warm.total_shots());
     check_each_shape(&mut drift, &cold.per_shape, HIER_SHOTS_EACH, 0);
+    drift.check(
+        "warm placed shots (count, checksum)",
+        (HIER_TOTAL_SHOTS, HIER_PLACED_CHECKSUM),
+        placed_checksum(&warm, &layout),
+    );
     let warm_labels: BTreeSet<&str> = warm.per_shape.iter().map(|s| s.cache.as_str()).collect();
     assert!(
         warm_labels.is_subset(&BTreeSet::from(["disk", "hit"])),

@@ -227,30 +227,25 @@ impl std::error::Error for CheckpointIoError {
 /// assert_eq!(layout, back);
 /// ```
 pub fn write_layout(layout: &Layout) -> String {
+    use std::fmt::Write as _;
+    // `write!` into a `String` cannot fail.
     let mut out = String::from("# maskfrac layout v1\n");
-    out.push_str(&format!("layout {}\n", layout.name));
+    let _ = writeln!(out, "layout {}", layout.name);
     for (name, polygon) in layout.shapes() {
-        out.push_str(&format!("shape {name}"));
+        let _ = write!(out, "shape {name}");
         for v in polygon.vertices() {
-            out.push_str(&format!(" {},{}", v.x, v.y));
+            let _ = write!(out, " {},{}", v.x, v.y);
         }
         out.push('\n');
     }
     for (name, placement) in layout.placements() {
+        let Point { x, y } = placement.offset;
         if placement.transform.is_identity() {
             // Identity placements keep the v1 three-token line, so files
             // written for translation-only layouts are byte-stable.
-            out.push_str(&format!(
-                "place {name} {} {}\n",
-                placement.offset.x, placement.offset.y
-            ));
+            let _ = writeln!(out, "place {name} {x} {y}");
         } else {
-            out.push_str(&format!(
-                "place {name} {} {} {}\n",
-                placement.offset.x,
-                placement.offset.y,
-                placement.transform.label()
-            ));
+            let _ = writeln!(out, "place {name} {x} {y} {}", placement.transform.label());
         }
     }
     out
@@ -311,8 +306,7 @@ pub fn parse_layout(text: &str) -> Result<Layout, ParseLayoutError> {
                     .ok_or_else(|| err(line_no, "place before layout directive"))?;
                 let name = parts
                     .next()
-                    .ok_or_else(|| err(line_no, "place needs a shape name"))?
-                    .to_owned();
+                    .ok_or_else(|| err(line_no, "place needs a shape name"))?;
                 let dx: i64 = parts
                     .next()
                     .and_then(|t| t.parse().ok())
@@ -329,10 +323,10 @@ pub fn parse_layout(text: &str) -> Result<Layout, ParseLayoutError> {
                         err(line_no, format!("bad placement transform {token:?}"))
                     })?,
                 };
-                if !layout.shapes().any(|(n, _)| n == name) {
+                if !layout.has_shape(name) {
                     return Err(err(line_no, format!("placement of unknown shape {name:?}")));
                 }
-                layout.place(&name, Placement::transformed(dx, dy, transform));
+                layout.place(name, Placement::transformed(dx, dy, transform));
             }
             Some(other) => {
                 return Err(err(line_no, format!("unknown directive {other:?}")));
@@ -369,7 +363,7 @@ fn layout_from_json(text: &str) -> Result<Layout, json::Error> {
             return Err(json::Error::new("a placement is a [name, placement] pair"));
         };
         let name = name.to_str()?;
-        if !layout.shapes().any(|(n, _)| n == name) {
+        if !layout.has_shape(name) {
             return Err(json::Error::new(format!(
                 "placement references unknown shape {name:?}"
             )));
@@ -378,9 +372,7 @@ fn layout_from_json(text: &str) -> Result<Layout, json::Error> {
             None => D4::R0,
             Some(t) => {
                 let t = t.to_str()?;
-                D4::ALL
-                    .into_iter()
-                    .find(|d| format!("{d:?}") == t)
+                d4_from_variant_name(t)
                     .ok_or_else(|| json::Error::new(format!("unknown transform {t:?}")))?
             }
         };
@@ -388,6 +380,22 @@ fn layout_from_json(text: &str) -> Result<Layout, json::Error> {
         layout.place(name, Placement::transformed(offset.x, offset.y, transform));
     }
     Ok(layout)
+}
+
+/// The [`D4`] whose variant name (its `Debug` form, as the JSON format
+/// spells transforms) is `name`.
+fn d4_from_variant_name(name: &str) -> Option<D4> {
+    Some(match name {
+        "R0" => D4::R0,
+        "R90" => D4::R90,
+        "R180" => D4::R180,
+        "R270" => D4::R270,
+        "M0" => D4::M0,
+        "M90" => D4::M90,
+        "M180" => D4::M180,
+        "M270" => D4::M270,
+        _ => return None,
+    })
 }
 
 /// Reads a layout file — the text format by default, JSON when the
@@ -420,9 +428,12 @@ pub fn load_layout<P: AsRef<Path>>(path: P) -> Result<Layout, LayoutIoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::LayoutFractureReport;
+    use maskfrac_geom::rng::{for_cases, StdRng};
     use maskfrac_geom::Rect;
     use maskfrac_obs::json::Value;
     use maskfrac_shapes::io::{point_to_json, polygon_to_json};
+    use std::collections::BTreeMap;
 
     /// Serializes a layout to its JSON form (see the module docs).
     fn layout_to_json(layout: &Layout) -> String {
@@ -676,6 +687,137 @@ mod tests {
         let (_, polygon) = layout.shapes().next().unwrap();
         let ccw = [(9, 0), (9, 9), (0, 9), (0, 0)].map(|(x, y)| Point::new(x, y));
         assert_eq!(polygon.vertices(), ccw);
+    }
+
+    /// A uniform index below `n`.
+    fn pick(rng: &mut StdRng, n: usize) -> usize {
+        rng.gen_range(0..=n as i64 - 1) as usize
+    }
+
+    /// A random rectangle or L with its corner near the local origin.
+    fn random_cell(rng: &mut StdRng) -> Polygon {
+        let (w, h) = (rng.gen_range(8..=60), rng.gen_range(8..=60));
+        if rng.gen_range(0..=1) == 0 {
+            return Polygon::from_rect(Rect::new(0, 0, w, h).unwrap());
+        }
+        let (ax, ay) = (rng.gen_range(2..=w - 2), rng.gen_range(2..=h - 2));
+        let ring = [(0, 0), (w, 0), (w, ay), (ax, ay), (ax, h), (0, h)];
+        Polygon::new(ring.map(|(x, y)| Point::new(x, y)).to_vec()).unwrap()
+    }
+
+    #[test]
+    fn interned_layouts_round_trip_count_and_expand_by_name() {
+        for_cases(64, |rng| {
+            // Shapes enter the library in shuffled order; the last one
+            // is never placed.
+            let shape_count = rng.gen_range(2..=6) as usize;
+            let mut names: Vec<String> = (0..shape_count).map(|i| format!("s{i}")).collect();
+            for i in (1..names.len()).rev() {
+                names.swap(i, pick(rng, i + 1));
+            }
+            let mut layout = Layout::new("interned");
+            for name in &names {
+                layout.add_shape(name, random_cell(rng));
+            }
+            let placed = &names[..shape_count - 1];
+            // All eight transforms, then random ones.
+            let extra = rng.gen_range(0..=24) as usize;
+            let sequence: Vec<(&str, Placement)> = (0..8 + extra)
+                .map(|i| {
+                    let t = if i < 8 {
+                        D4::ALL[i]
+                    } else {
+                        D4::ALL[pick(rng, 8)]
+                    };
+                    let (x, y) = (rng.gen_range(-500..=500), rng.gen_range(-500..=500));
+                    let name = placed[pick(rng, placed.len())].as_str();
+                    (name, Placement::transformed(x, y, t))
+                })
+                .collect();
+            let replace_at = pick(rng, sequence.len());
+            for (i, &(name, placement)) in sequence.iter().enumerate() {
+                layout.place(name, placement);
+                if i == replace_at {
+                    // Replacing a placed shape keeps its placements.
+                    assert!(layout.add_shape(name, random_cell(rng)).is_some());
+                }
+            }
+            let listed: Vec<(&str, Placement)> = layout.placements().collect();
+            assert_eq!(listed, sequence);
+
+            let text = parse_layout(&write_layout(&layout)).unwrap();
+            assert_eq!(text, layout, "text round trip");
+            let json = layout_from_json(&layout_to_json(&layout)).unwrap();
+            assert_eq!(json, layout, "JSON round trip");
+
+            let mut tally: BTreeMap<String, usize> = BTreeMap::new();
+            for (name, _) in &sequence {
+                *tally.entry((*name).to_owned()).or_default() += 1;
+            }
+            assert_eq!(layout.placement_counts(), tally);
+
+            // Random local shots per placed name, some empty; one name
+            // may have no report entry at all.
+            let shape_shots: BTreeMap<String, Vec<Rect>> = placed
+                .iter()
+                .skip(rng.gen_range(0..=1) as usize)
+                .map(|name| {
+                    let shots = (0..rng.gen_range(0..=3))
+                        .map(|_| {
+                            let (x, y) = (rng.gen_range(-20..=20), rng.gen_range(-20..=20));
+                            Rect::new(x, y, x + rng.gen_range(1..=9), y + rng.gen_range(1..=9))
+                                .unwrap()
+                        })
+                        .collect();
+                    (name.clone(), shots)
+                })
+                .collect();
+            let report = LayoutFractureReport {
+                layout: layout.name.clone(),
+                per_shape: Vec::new(),
+                shape_shots,
+            };
+            let by_name: Vec<Rect> = layout
+                .placements()
+                .flat_map(|(name, p)| {
+                    report
+                        .shape_shots
+                        .get(name)
+                        .into_iter()
+                        .flatten()
+                        .map(move |s| p.transform.apply_rect(s).translate(p.offset))
+                })
+                .collect();
+            assert_eq!(report.placed_shots(&layout).collect::<Vec<_>>(), by_name);
+
+            // Same library and placements rebuild an equal layout; the
+            // same placements in another order do not.
+            let rebuild = |order: &[(&str, Placement)]| {
+                let mut other = Layout::new("interned");
+                for (name, polygon) in layout.shapes() {
+                    other.add_shape(name, polygon.clone());
+                }
+                for &(name, placement) in order {
+                    other.place(name, placement);
+                }
+                other
+            };
+            assert_eq!(rebuild(&listed), layout);
+            let mut swapped = listed.clone();
+            let i = pick(rng, swapped.len() - 1);
+            swapped.swap(i, i + 1);
+            if swapped != listed {
+                assert_ne!(rebuild(&swapped), layout, "placement order matters");
+            }
+        });
+    }
+
+    #[test]
+    fn variant_names_match_the_debug_form() {
+        for d in D4::ALL {
+            assert_eq!(d4_from_variant_name(&format!("{d:?}")), Some(d));
+        }
+        assert_eq!(d4_from_variant_name("r90"), None, "a label");
     }
 
     #[test]

@@ -61,12 +61,23 @@ impl Placement {
 ///
 /// Shape names are unique; placements reference names. Placements of
 /// unknown names are rejected.
+///
+/// A placement is a cell reference: the name is interned once, at its
+/// first placement, and every placement stores its id into that table.
+/// Ids follow first-placement order, so two layouts compare equal exactly
+/// when they hold the same library and the same placements in the same
+/// order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Layout {
     /// Layout name (for reports).
     pub name: String,
     shapes: BTreeMap<String, Polygon>,
-    placements: Vec<(String, Placement)>,
+    /// Placed shape names in first-placement order; a placement's id
+    /// indexes this table.
+    names: Vec<String>,
+    /// Id of every name in `names`.
+    ids: HashMap<String, u32>,
+    placements: Vec<(u32, Placement)>,
 }
 
 impl Layout {
@@ -75,6 +86,8 @@ impl Layout {
         Layout {
             name: name.to_owned(),
             shapes: BTreeMap::new(),
+            names: Vec::new(),
+            ids: HashMap::new(),
             placements: Vec::new(),
         }
     }
@@ -85,18 +98,37 @@ impl Layout {
         self.shapes.insert(name.to_owned(), polygon)
     }
 
-    /// Places a library shape.
+    /// Whether the library holds a shape named `name`.
+    pub(crate) fn has_shape(&self, name: &str) -> bool {
+        self.shapes.contains_key(name)
+    }
+
+    /// Places a library shape. Allocates only on a name's first
+    /// placement; later ones cost one hash lookup.
     ///
     /// # Panics
     ///
     /// Panics if no shape with that name exists — placements must
-    /// reference the library.
+    /// reference the library — or if a layout places more than 2³²
+    /// distinct shapes.
     pub fn place(&mut self, name: &str, placement: Placement) {
-        assert!(
-            self.shapes.contains_key(name),
-            "placement references unknown shape {name:?}"
-        );
-        self.placements.push((name.to_owned(), placement));
+        // Shapes are never removed, so an interned name is always in the
+        // library.
+        let id = match self.ids.get(name) {
+            Some(&id) => id,
+            None => {
+                assert!(
+                    self.has_shape(name),
+                    "placement references unknown shape {name:?}"
+                );
+                let id = u32::try_from(self.names.len())
+                    .unwrap_or_else(|_| panic!("more than 2^32 distinct placed shapes"));
+                self.names.push(name.to_owned());
+                self.ids.insert(name.to_owned(), id);
+                id
+            }
+        };
+        self.placements.push((id, placement));
     }
 
     /// Number of distinct library shapes.
@@ -116,24 +148,25 @@ impl Layout {
 
     /// Iterator over placements as `(shape name, placement)`.
     pub fn placements(&self) -> impl Iterator<Item = (&str, Placement)> {
-        self.placements.iter().map(|(k, p)| (k.as_str(), *p))
+        self.placements
+            .iter()
+            .map(|&(id, p)| (self.names[id as usize].as_str(), p))
     }
 
     /// Placement count per shape name.
     pub fn placement_counts(&self) -> BTreeMap<String, usize> {
-        let mut counts = BTreeMap::new();
-        for (name, _) in &self.placements {
-            *counts.entry(name.clone()).or_insert(0) += 1;
+        let mut tally = vec![0; self.names.len()];
+        for &(id, _) in &self.placements {
+            tally[id as usize] += 1;
         }
-        counts
+        self.names.iter().cloned().zip(tally).collect()
     }
 
     /// Bounding box of all placed instances, or `None` for an empty
     /// placement list.
     #[cfg(test)]
     pub(crate) fn bbox(&self) -> Option<Rect> {
-        self.placements
-            .iter()
+        self.placements()
             .map(|(name, p)| {
                 let b = self.shapes[name].bbox();
                 p.transform.apply_rect(&b).translate(p.offset)
@@ -224,21 +257,41 @@ impl LayoutFractureReport {
     /// World-frame shots of every placed instance, in placement order —
     /// each local shot pushed through the placement's D4 transform and
     /// translation. Lazily expanded, so a full-chip instance count
-    /// never materializes in memory at once.
+    /// never materializes in memory at once: the local shots of each
+    /// (shape, transform) pair the layout uses are transformed once per
+    /// call, and a placement then only translates them.
     pub fn placed_shots<'a>(&'a self, layout: &'a Layout) -> impl Iterator<Item = Rect> + 'a {
-        layout.placements().flat_map(move |(name, placement)| {
-            self.shape_shots
-                .get(name)
-                .into_iter()
-                .flatten()
-                .map(move |shot| {
-                    placement
-                        .transform
-                        .apply_rect(shot)
-                        .translate(placement.offset)
-                })
+        let slot = |id: u32, transform: D4| id as usize * 8 + usize::from(transform.index());
+        let mut spans = vec![(0, 0); layout.names.len() * 8];
+        let mut resolved = vec![false; spans.len()];
+        let mut shots = Vec::new();
+        for &(id, p) in &layout.placements {
+            let slot = slot(id, p.transform);
+            if !std::mem::replace(&mut resolved[slot], true) {
+                let local = self.shape_shots.get(&layout.names[id as usize]);
+                let start = shots.len();
+                shots.extend(
+                    local
+                        .into_iter()
+                        .flatten()
+                        .map(|s| p.transform.apply_rect(s)),
+                );
+                spans[slot] = (start, shots.len());
+            }
+        }
+        let mut placements = layout.placements.iter();
+        let (mut at, mut end, mut offset) = (0, 0, Point::new(0, 0));
+        std::iter::from_fn(move || {
+            while at == end {
+                let &(id, p) = placements.next()?;
+                (at, end) = spans[slot(id, p.transform)];
+                offset = p.offset;
+            }
+            at += 1;
+            Some(shots[at - 1].translate(offset))
         })
     }
+
     /// Total shots over all placed instances.
     pub fn total_shots(&self) -> usize {
         self.per_shape

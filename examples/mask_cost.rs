@@ -35,11 +35,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Conventional fracturing (geometric partition, no model).
     let cfg = FractureConfig::default();
     let conventional = Conventional::new(cfg.clone());
+    let counts = layout.placement_counts();
     let mut conventional_shots = 0usize;
     for (name, poly) in layout.shapes() {
         let per_instance = conventional.fracture(poly).shot_count();
-        let instances = layout.placement_counts()[name];
-        conventional_shots += per_instance * instances;
+        conventional_shots += per_instance * counts[name];
     }
 
     // Model-based fracturing over the whole layout (multi-threaded).
