@@ -19,11 +19,12 @@
 //! (the mode rows) and the machine-readable run report
 //! `results/BENCH_obs_overhead.json` (see `docs/observability.md`).
 
-use maskfrac_bench::{apply_obs_flags, finish_run_report, save_json};
+use maskfrac_bench::{run_bench, save_json};
 use maskfrac_fracture::FractureConfig;
 use maskfrac_geom::{Polygon, Rect};
 use maskfrac_mdp::{fracture_layout_opts, Layout, LayoutOptions, Placement};
 use maskfrac_obs::json::Value;
+use std::process::ExitCode;
 
 const SEED: u64 = 0x6f62_735f_6f76_6572; // "obs_over"
 const DISTINCT: usize = 5;
@@ -166,12 +167,15 @@ impl EventsClient {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let started = std::time::Instant::now();
-    let obs = apply_obs_flags(&args);
-    let reps = if args.iter().any(|a| a == "--full") { 9 } else { 3 };
+fn main() -> ExitCode {
+    run_bench("obs_overhead", &["--full"], |args, _| {
+        let full = args.iter().any(|a| a == "--full");
+        obs_overhead(if full { 9 } else { 3 });
+        Ok(ExitCode::SUCCESS)
+    })
+}
 
+fn obs_overhead(reps: usize) {
     let layout = synth_layout();
     let cfg = FractureConfig::default();
     let opts = LayoutOptions { threads: THREADS, ..LayoutOptions::default() };
@@ -268,5 +272,4 @@ fn main() {
         "obs_overhead_bench.json",
         &rows.iter().map(OverheadRow::to_json).collect(),
     );
-    finish_run_report("obs_overhead", started, &obs, Vec::new());
 }

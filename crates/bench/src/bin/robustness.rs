@@ -25,14 +25,14 @@
 //! pinned in `crates/bench/tests/drift_gates.rs`.
 
 use maskfrac_baselines::{FallbackFracturer, GreedySetCover, MaskFracturer, ProtoEda};
-use maskfrac_bench::{
-    apply_obs_flags, finish_run_report, run_injection_suite, save_json, suite_fingerprint,
-};
+use maskfrac_bench::{run_bench, run_injection_suite, save_json, suite_fingerprint};
 use maskfrac_fracture::{FractureConfig, ModelBasedFracturer};
+use maskfrac_obs::flags;
 use maskfrac_obs::json::Value;
 use maskfrac_obs::ShapeRecord;
 use maskfrac_shapes::ilt::{generate_ilt_clip, IltParams};
 use std::collections::BTreeMap;
+use std::error::Error;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -65,27 +65,20 @@ fn mean_and_std(values: &[f64]) -> (f64, f64) {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let started = Instant::now();
-    let obs = apply_obs_flags(&args);
-    let mut shapes = Vec::new();
-    let code = if args.iter().any(|a| a == "--inject") {
-        let seed = flag_value(&args, "--seed").unwrap_or(0xF417);
-        let rate = flag_value(&args, "--rate").unwrap_or(0.3);
-        injection_harness(seed, rate, &mut shapes)
-    } else {
-        ranking_study(&mut shapes);
-        ExitCode::SUCCESS
-    };
-    finish_run_report("robustness", started, &obs, shapes);
-    code
+    run_bench("robustness", &["--inject", "--seed", "--rate"], robustness)
 }
 
-fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+/// Reads `--seed` and `--rate` whatever the mode, so a bad value always
+/// fails, then runs the `--inject` harness or the ranking study.
+fn robustness(args: &[String], shapes: &mut Vec<ShapeRecord>) -> Result<ExitCode, Box<dyn Error>> {
+    let seed = flags::parsed(args, "--seed")?.unwrap_or(0xF417);
+    let rate = flags::parsed(args, "--rate")?.unwrap_or(0.3);
+    if args.iter().any(|a| a == "--inject") {
+        Ok(injection_harness(seed, rate, shapes))
+    } else {
+        ranking_study(shapes);
+        Ok(ExitCode::SUCCESS)
+    }
 }
 
 /// Runs the benchmark suite through the fallback ladder under armed

@@ -11,10 +11,11 @@
 //! machine-readable run report `results/BENCH_sweep.json` (see
 //! `docs/observability.md`).
 
-use maskfrac_bench::{apply_obs_flags, finish_run_report, save_json};
+use maskfrac_bench::{run_bench, save_json};
 use maskfrac_fracture::{FractureConfig, ModelBasedFracturer};
 use maskfrac_obs::json::Value;
 use maskfrac_obs::ShapeRecord;
+use std::process::ExitCode;
 
 #[derive(Debug)]
 struct SweepRow {
@@ -88,17 +89,20 @@ fn run_point(gamma: f64, sigma: f64, shapes: &mut Vec<ShapeRecord>) -> SweepRow 
     row
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let started = std::time::Instant::now();
-    let obs = apply_obs_flags(&args);
+fn main() -> ExitCode {
+    run_bench("sweep", &[], |_, shapes| {
+        sweep(shapes);
+        Ok(ExitCode::SUCCESS)
+    })
+}
+
+fn sweep(shapes: &mut Vec<ShapeRecord>) {
     println!("== Parameter sweep over {} clips ==", SWEEP_CLIPS.len());
     let mut rows = Vec::new();
-    let mut shapes = Vec::new();
 
     println!("\nCD tolerance sweep (sigma = 6.25 nm):");
     for gamma in [1.0, 1.5, 2.0, 3.0, 4.0] {
-        rows.push(run_point(gamma, 6.25, &mut shapes));
+        rows.push(run_point(gamma, 6.25, shapes));
     }
 
     println!("\nblur sweep (gamma = 2 nm):");
@@ -106,9 +110,8 @@ fn main() {
         if sigma == 6.25 {
             continue; // already measured above
         }
-        rows.push(run_point(2.0, sigma, &mut shapes));
+        rows.push(run_point(2.0, sigma, shapes));
     }
 
     save_json("sweep.json", &rows.iter().map(SweepRow::to_json).collect());
-    finish_run_report("sweep", started, &obs, shapes);
 }

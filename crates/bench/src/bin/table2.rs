@@ -13,11 +13,16 @@
 use maskfrac_baselines::{GreedySetCover, MaskFracturer, MatchingPursuit, ProtoEda};
 use maskfrac_bench::{normalized_sum, print_clip_row, run_methods, save_json, ClipResult};
 use maskfrac_fracture::{FractureConfig, ModelBasedFracturer};
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let started = std::time::Instant::now();
-    let obs = maskfrac_bench::apply_obs_flags(&args);
+fn main() -> ExitCode {
+    maskfrac_bench::run_bench("table2", &[], |_, _| {
+        table2();
+        Ok(ExitCode::SUCCESS)
+    })
+}
+
+fn table2() {
     let cfg = FractureConfig::default();
     let methods: Vec<Box<dyn MaskFracturer>> = vec![
         Box::new(GreedySetCover::new(cfg.clone())),
@@ -73,5 +78,4 @@ fn main() {
     println!("  Σ normalized   — GSC 21.49, MP 14.54, PROTO-EDA 15.96, ours 12.26 (wrt ILP UB)");
 
     save_json("table2.json", &results.iter().map(ClipResult::to_json).collect());
-    maskfrac_bench::finish_run_report("table2", started, &obs, Vec::new());
 }

@@ -7,11 +7,16 @@
 use maskfrac_baselines::{GreedySetCover, MaskFracturer, MatchingPursuit, ProtoEda};
 use maskfrac_bench::{normalized_sum, print_clip_row, run_methods, save_json, ClipResult};
 use maskfrac_fracture::{FractureConfig, ModelBasedFracturer};
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let started = std::time::Instant::now();
-    let obs = maskfrac_bench::apply_obs_flags(&args);
+fn main() -> ExitCode {
+    maskfrac_bench::run_bench("table3", &[], |_, _| {
+        table3();
+        Ok(ExitCode::SUCCESS)
+    })
+}
+
+fn table3() {
     let cfg = FractureConfig::default();
     let model = cfg.model();
     let methods: Vec<Box<dyn MaskFracturer>> = vec![
@@ -69,5 +74,4 @@ fn main() {
     println!("  (paper notes: PROTO-EDA and their method keep some failing pixels here)");
 
     save_json("table3.json", &results.iter().map(ClipResult::to_json).collect());
-    maskfrac_bench::finish_run_report("table3", started, &obs, Vec::new());
 }

@@ -13,7 +13,9 @@
 //!   reduction sweep).
 //!
 //! Each binary prints the paper-format rows and writes machine-readable
-//! JSON under `results/`.
+//! JSON under `results/`. Those that write a run report start through
+//! [`run_bench`], which gives them the `maskfrac` CLI's observability
+//! flags and failure policy.
 //!
 //! The library also holds what the binaries share with the drift gates
 //! in `tests/drift_gates.rs`: the suite fingerprints
@@ -28,7 +30,9 @@ use maskfrac_geom::{Polygon, Rect};
 use maskfrac_mdp::{Layout, LayoutOptions, Placement};
 use maskfrac_obs::json::Value;
 use maskfrac_obs::ShapeRecord;
+use std::error::Error;
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
 /// One method's result on one benchmark instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -162,105 +166,34 @@ pub fn save_json(filename: &str, value: &Value) {
     println!("wrote {}", path.display());
 }
 
-/// The observability flags shared by every bench binary, parsed by
-/// [`apply_obs_flags`] and consumed by [`finish_run_report`].
-#[derive(Debug, Default, Clone)]
-pub struct ObsFlags {
-    /// Extra destination for the run report (`--metrics-out <path>`).
-    pub metrics_out: Option<PathBuf>,
-    /// Chrome-trace export of the captured event stream
-    /// (`--trace-out <path>`).
-    pub trace_out: Option<PathBuf>,
-    /// JSON Lines export of the captured event stream
-    /// (`--events-out <path>`).
-    pub events_out: Option<PathBuf>,
-    /// The live telemetry endpoint (`--telemetry-listen <addr>`), held
-    /// here so it serves for as long as the flags value is alive —
-    /// i.e. the whole bench run.
-    pub telemetry: Option<std::sync::Arc<maskfrac_obs::TelemetryServer>>,
-}
-
-/// Applies the observability flags shared by every bench binary:
-/// `--trace` switches on the stderr span tree, `--metrics-out <path>`
-/// selects an extra destination for the run report,
-/// `--trace-out <path>` / `--events-out <path>` switch on structured
-/// event capture and select where the stream is exported, and
-/// `--telemetry-listen <addr>` starts the live HTTP telemetry plane
-/// (`/metrics`, `/healthz`, `/events`) for the duration of the run.
-/// A telemetry bind failure warns and continues — observability must
-/// never take a benchmark down.
-pub fn apply_obs_flags(args: &[String]) -> ObsFlags {
-    if args.iter().any(|a| a == "--trace") {
-        maskfrac_obs::set_trace(true);
-    }
-    let arg_flag = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-    };
-    let telemetry = arg_flag("--telemetry-listen").and_then(|addr| {
-        match maskfrac_obs::TelemetryServer::bind(addr) {
-            Ok(server) => {
-                println!("telemetry listening on {}", server.local_addr());
-                Some(std::sync::Arc::new(server))
-            }
-            Err(e) => {
-                eprintln!("warning: --telemetry-listen {addr} failed to bind: {e}");
-                None
-            }
-        }
-    });
-    let flags = ObsFlags {
-        metrics_out: arg_flag("--metrics-out").map(PathBuf::from),
-        trace_out: arg_flag("--trace-out").map(PathBuf::from),
-        events_out: arg_flag("--events-out").map(PathBuf::from),
-        telemetry,
-    };
-    if flags.trace_out.is_some() || flags.events_out.is_some() {
-        maskfrac_obs::set_capture(true);
-    }
-    flags
-}
-
-/// Captures the global metrics into a validated
-/// [`RunReport`](maskfrac_obs::RunReport) and writes it as
-/// `results/BENCH_<binary>.json` (the machine-readable side of each
-/// harness run), plus to `--metrics-out` when given; the captured event
-/// stream, if any, is flushed to `--trace-out` / `--events-out`.
-pub fn finish_run_report(
+/// The front door of every bench binary that writes a run report.
+///
+/// Reads the process arguments through
+/// [`ObsFlags::parse`](maskfrac_obs::ObsFlags::parse) (the binary's
+/// `own` flags plus the shared observability flags), runs `body` with
+/// them and a ledger to fill, then finishes the run report as
+/// `results/BENCH_<binary>.json` (plus `--metrics-out`). An error from
+/// any step prints `error: …` and exits non-zero, as the `maskfrac`
+/// CLI does; a failure exit code from `body` still writes the report.
+pub fn run_bench(
     binary: &str,
-    started: std::time::Instant,
-    obs: &ObsFlags,
-    shapes: Vec<maskfrac_obs::ShapeRecord>,
-) -> maskfrac_obs::RunReport {
-    if obs.trace_out.is_some() || obs.events_out.is_some() {
-        let events = maskfrac_obs::event::flush_to_files(
-            obs.trace_out.as_deref(),
-            obs.events_out.as_deref(),
-        )
-        .expect("can write event exports");
-        if let Err(e) = maskfrac_obs::event::validate(&events) {
-            eprintln!("warning: event stream failed validation: {e}");
-        }
-        for path in [obs.trace_out.as_deref(), obs.events_out.as_deref()]
-            .into_iter()
-            .flatten()
-        {
-            println!("wrote {}", path.display());
-        }
-    }
-    let report = maskfrac_obs::RunReport::capture(binary, started).with_shapes(shapes);
-    if let Err(e) = report.validate() {
-        eprintln!("warning: run report failed validation: {e}");
-    }
-    let default_path = results_dir().join(format!("BENCH_{binary}.json"));
-    report.save(&default_path).expect("can write run report");
-    println!("wrote {}", default_path.display());
-    if let Some(path) = obs.metrics_out.as_deref() {
-        report.save(path).expect("can write run report");
-        println!("wrote {}", path.display());
-    }
-    report
+    own: &[&str],
+    body: impl FnOnce(&[String], &mut Vec<ShapeRecord>) -> Result<ExitCode, Box<dyn Error>>,
+) -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let started = std::time::Instant::now();
+    let run = || -> Result<ExitCode, Box<dyn Error>> {
+        let obs = maskfrac_obs::ObsFlags::parse(&args, own)?;
+        let mut shapes = Vec::new();
+        let code = body(&args, &mut shapes)?;
+        let default_path = results_dir().join(format!("BENCH_{binary}.json"));
+        obs.finish(binary, started, shapes, Some(&default_path))?;
+        Ok(code)
+    };
+    run().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    })
 }
 
 /// Prints one table row in the paper's layout.

@@ -163,10 +163,14 @@ pub(crate) fn publish(event: &Event) {
         if !ring.active.load(Ordering::Relaxed) {
             continue;
         }
+        // Clone before locking: the clone allocates, and every
+        // instruction under the lock widens the window in which a
+        // concurrent publisher's `try_lock` fails and drops.
+        let event = event.clone();
         match ring.try_queue_briefly() {
             Some(mut queue) => {
                 if queue.len() < ring.capacity {
-                    queue.push_back(event.clone());
+                    queue.push_back(event);
                     drop(queue);
                     ring.wakeup.notify_one();
                 } else {
@@ -200,9 +204,13 @@ impl std::fmt::Debug for Ring {
 }
 
 impl BusSubscriber {
-    /// Takes every queued event without waiting.
+    /// Takes every queued event without waiting. The queue is swapped
+    /// for an empty one allocated beforehand, so the lock is held for a
+    /// pointer swap rather than for collecting the events.
     pub(crate) fn try_drain(&self) -> Vec<Event> {
-        self.ring.queue().drain(..).collect()
+        let mut taken = VecDeque::with_capacity(self.ring.capacity.min(1024));
+        std::mem::swap(&mut *self.ring.queue(), &mut taken);
+        taken.into()
     }
 
     /// Waits up to `timeout` for the next event.

@@ -20,7 +20,8 @@
 //! * [`point_with`] adds instantaneous records parented to the
 //!   innermost open span of the calling thread;
 //! * [`drain`] flushes every thread buffer at run end;
-//! * `write_jsonl` serializes the native JSON Lines form and
+//! * `write_jsonl` serializes the native JSON Lines form
+//!   (`--events-out`, read back by [`read_jsonl`]) and
 //!   [`chrome_trace_json`] the Chrome trace format (`--trace-out`,
 //!   loadable in Perfetto or `chrome://tracing`).
 //!
@@ -34,9 +35,7 @@
 //! Capture is observational only: enabling it never changes pipeline
 //! results (asserted by the bit-neutrality tests).
 
-#[cfg(test)]
-use crate::json;
-use crate::json::Value;
+use crate::json::{self, Value};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::io::{self, Write};
@@ -434,14 +433,13 @@ pub(crate) fn write_jsonl<W: Write>(events: &[Event], mut w: W) -> io::Result<()
     Ok(())
 }
 
-/// Parses a JSON Lines byte stream back into events (blank lines are
-/// skipped).
+/// Parses a JSON Lines byte stream (an `--events-out` file) back into
+/// events; blank lines are skipped.
 ///
 /// # Errors
 ///
 /// The first malformed line aborts parsing with its error.
-#[cfg(test)]
-fn read_jsonl(bytes: &[u8]) -> io::Result<Vec<Event>> {
+pub fn read_jsonl(bytes: &[u8]) -> io::Result<Vec<Event>> {
     let text = std::str::from_utf8(bytes)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     let mut events = Vec::new();
@@ -457,7 +455,6 @@ fn read_jsonl(bytes: &[u8]) -> io::Result<Vec<Event>> {
     Ok(events)
 }
 
-#[cfg(test)]
 fn event_from_json(v: &Value) -> Result<Event, json::Error> {
     let label = v.field("kind")?.to_str()?;
     let kind = [EventKind::SpanBegin, EventKind::SpanEnd, EventKind::Point]
@@ -485,7 +482,6 @@ fn event_from_json(v: &Value) -> Result<Event, json::Error> {
 
 /// A field payload: non-negative integers are `U64`, other numbers
 /// `F64`, strings `Str`.
-#[cfg(test)]
 fn field_from_json(v: &Value) -> Result<FieldValue, json::Error> {
     match v {
         Value::U64(n) => Ok(FieldValue::U64(*n)),
@@ -546,29 +542,6 @@ pub fn chrome_trace_json(events: &[Event]) -> io::Result<String> {
     }
     out.push_str("\n],\"displayTimeUnit\":\"ms\"}");
     Ok(out)
-}
-
-/// Drains all captured events and writes both artifacts in one sweep:
-/// the Chrome trace to `trace_out` and/or the JSON Lines stream to
-/// `events_out` (either may be `None`). Returns the drained events so
-/// callers can additionally inspect or [`validate`] them.
-///
-/// # Errors
-///
-/// File I/O or serialization failures, naming the offending path.
-pub fn flush_to_files(
-    trace_out: Option<&std::path::Path>,
-    events_out: Option<&std::path::Path>,
-) -> io::Result<Vec<Event>> {
-    let events = drain();
-    if let Some(path) = events_out {
-        let file = std::fs::File::create(path)?;
-        write_jsonl(&events, io::BufWriter::new(file))?;
-    }
-    if let Some(path) = trace_out {
-        std::fs::write(path, chrome_trace_json(&events)? + "\n")?;
-    }
-    Ok(events)
 }
 
 #[cfg(test)]

@@ -37,6 +37,9 @@
 //! * [`serve`] — the dependency-free `--telemetry-listen` HTTP server:
 //!   `GET /metrics` (Prometheus text), `GET /healthz` (JSON liveness),
 //!   `GET /events` (live NDJSON stream off the bus).
+//! * [`flags`] — the one front door for the flags above: every binary
+//!   reads, applies and finishes them through [`ObsFlags`], and reads
+//!   its own `--flag value` pairs with the same reader.
 //!
 //! [`fracture_layout_opts`]: https://docs.rs/maskfrac-mdp
 //!
@@ -62,6 +65,7 @@
 pub mod bus;
 pub mod event;
 pub mod expo;
+pub mod flags;
 pub mod json;
 pub mod ledger;
 pub mod metrics;
@@ -72,6 +76,7 @@ pub mod span;
 
 pub use event::{capture_enabled, point_with, set_capture, Event, EventKind, FieldValue};
 pub use expo::{prometheus_text, sanitize_metric_name, ExpositionSnapshot, HistogramSeries};
+pub use flags::ObsFlags;
 pub use ledger::{Anomalies, OutlierRow};
 pub use metrics::{
     counter, histogram, registry, Counter, Histogram, HistogramSummary, MetricsSnapshot, Registry,

@@ -4,7 +4,8 @@
 //! maskfrac fracture <shape.json> [--method NAME] [--svg OUT.svg] [--out SHOTS.json] [--deadline-ms MS] [OBS FLAGS]
 //! maskfrac fracture-layout <layout.txt|.json> [--threads N] [--deadline-ms MS]
 //!                          [--checkpoint J.mfj] [--resume] [--geom-cache DIR]
-//!                          [--fault-seed N] [--fault-rate R] [--fault-crash-rate R] [OBS FLAGS]
+//!                          [--fault-seed N] [--fault-rate R] [--fault-crash-rate R]
+//!                          [--progress-ms MS] [OBS FLAGS]
 //! maskfrac generate-ilt <out.json> [--seed N] [--radius NM]
 //! maskfrac generate-benchmark <out.json> [--shots K] [--seed N]
 //! maskfrac verify <shape.json>
@@ -29,8 +30,9 @@
 //! parallelism (capped by the layout worker limit); refinement inside one
 //! shape is serial.
 //!
-//! Both fracture subcommands share the observability flags (none of which
-//! changes the shot output — see `docs/observability.md`):
+//! Both fracture subcommands share the observability flags, read and
+//! applied by [`maskfrac::obs::flags`] like every bench binary's (none
+//! of them changes the shot output — see `docs/observability.md`):
 //!
 //! - `--trace` prints the pipeline span tree to stderr;
 //! - `--metrics-out REPORT.json` writes the versioned run report
@@ -38,13 +40,17 @@
 //! - `--trace-out TRACE.json` captures structured events and exports them
 //!   in Chrome trace format (loadable in Perfetto / `chrome://tracing`);
 //! - `--events-out EVENTS.jsonl` writes the same events as raw JSON Lines;
-//! - `--progress-ms N` prints a live progress line to stderr every N ms
-//!   (shapes done, shots so far, cache hit rate across both dedup tiers);
 //! - `--telemetry-listen ADDR` serves live telemetry over HTTP while the
 //!   run is going: `GET /metrics` (Prometheus text), `GET /healthz`
 //!   (JSON liveness) and `GET /events` (NDJSON stream of ledger/span
 //!   events off the broadcast bus). Bind `127.0.0.1:0` for an ephemeral
 //!   port; the resolved address is printed as `telemetry listening on …`.
+//!
+//! `fracture-layout` alone takes `--progress-ms N`, which prints a live
+//! progress line to stderr every N ms (shapes done out of the layout's
+//! total, shots so far, cache hit rate across both dedup tiers).
+//! A value flag without its value, an unbindable telemetry address and
+//! an event stream or run report that fails validation are errors too.
 //!
 //! `fracture-layout` additionally speaks the robustness flags
 //! (`docs/robustness.md`): `--checkpoint <path>` journals every
@@ -69,6 +75,7 @@ use maskfrac::baselines::{
 use maskfrac::fracture::{validate_target, FractureConfig, ModelBasedFracturer};
 use maskfrac::geom::svg::{Style, SvgCanvas};
 use maskfrac::geom::Region;
+use maskfrac::obs::flags::{self, ObsFlags};
 use maskfrac::shapes::generated::{generate_benchmark, GeneratedParams};
 use maskfrac::shapes::ilt::{generate_ilt_clip, IltParams};
 use maskfrac::shapes::io::ShapeFile;
@@ -101,156 +108,11 @@ fn main() -> ExitCode {
     }
 }
 
-/// Finds `--flag value` in an argument list.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-/// Shared observability flags, accepted by every fracture subcommand.
-const OBS_FLAGS: [&str; 6] = [
-    "--trace",
-    "--metrics-out",
-    "--trace-out",
-    "--events-out",
-    "--progress-ms",
-    "--telemetry-listen",
-];
-
-/// The shared observability flags, parsed and applied:
-/// `--trace` turns on the stderr span tree, `--metrics-out <path>` selects
-/// where the run report goes, `--trace-out <path>` / `--events-out <path>`
-/// enable structured event capture (Chrome trace / JSON Lines),
-/// `--progress-ms <n>` starts the live progress sampler, and
-/// `--telemetry-listen <addr>` serves the live HTTP telemetry plane.
-struct ObsFlags {
-    metrics_out: Option<std::path::PathBuf>,
-    trace_out: Option<std::path::PathBuf>,
-    events_out: Option<std::path::PathBuf>,
-    progress: Option<std::time::Duration>,
-    telemetry_listen: Option<String>,
-}
-
-fn obs_from_flags(args: &[String]) -> Result<ObsFlags, Box<dyn std::error::Error>> {
-    if args.iter().any(|a| a == "--trace") {
-        maskfrac::obs::set_trace(true);
-    }
-    let flags = ObsFlags {
-        metrics_out: flag_value(args, "--metrics-out").map(std::path::PathBuf::from),
-        trace_out: flag_value(args, "--trace-out").map(std::path::PathBuf::from),
-        events_out: flag_value(args, "--events-out").map(std::path::PathBuf::from),
-        progress: match parsed_flag::<u64>(args, "--progress-ms")? {
-            Some(0) => return Err("--progress-ms must be positive".into()),
-            ms => ms.map(std::time::Duration::from_millis),
-        },
-        telemetry_listen: flag_value(args, "--telemetry-listen").map(str::to_owned),
-    };
-    if flags.trace_out.is_some() || flags.events_out.is_some() {
-        maskfrac::obs::set_capture(true);
-    }
-    Ok(flags)
-}
-
-impl ObsFlags {
-    /// Starts the live progress sampler when `--progress-ms` was given.
-    /// Keep the returned guard alive for the duration of the run.
-    fn start_progress(&self, total_shapes: Option<u64>) -> Option<maskfrac::obs::ProgressSampler> {
-        self.progress
-            .map(|interval| maskfrac::obs::ProgressSampler::start(interval, total_shapes))
-    }
-
-    /// Binds the telemetry server when `--telemetry-listen` was given.
-    /// Keep the returned guard alive for the duration of the run; the
-    /// resolved address is printed so `:0` (ephemeral-port) callers can
-    /// discover where to scrape.
-    fn start_telemetry(
-        &self,
-    ) -> Result<Option<maskfrac::obs::TelemetryServer>, Box<dyn std::error::Error>> {
-        let Some(addr) = self.telemetry_listen.as_deref() else {
-            return Ok(None);
-        };
-        let server = maskfrac::obs::TelemetryServer::bind(addr)
-            .map_err(|e| format!("--telemetry-listen {addr}: {e}"))?;
-        println!("telemetry listening on {}", server.local_addr());
-        Ok(Some(server))
-    }
-
-    /// Flushes captured events to `--trace-out`/`--events-out`, checking
-    /// their structural invariants (parent resolution, begin/end pairing,
-    /// per-thread timestamp order) first.
-    fn flush_events(&self) -> Result<(), Box<dyn std::error::Error>> {
-        if self.trace_out.is_none() && self.events_out.is_none() {
-            return Ok(());
-        }
-        let events = maskfrac::obs::event::flush_to_files(
-            self.trace_out.as_deref(),
-            self.events_out.as_deref(),
-        )?;
-        maskfrac::obs::event::validate(&events)
-            .map_err(|e| format!("event stream failed validation: {e}"))?;
-        for path in [self.trace_out.as_deref(), self.events_out.as_deref()]
-            .into_iter()
-            .flatten()
-        {
-            println!("wrote {}", path.display());
-        }
-        Ok(())
-    }
-}
-
-/// Captures the metrics gathered since `started` into a validated
-/// [`maskfrac::obs::RunReport`] and writes it to `path`.
-fn write_run_report(
-    binary: &str,
-    started: std::time::Instant,
-    path: &std::path::Path,
-    shapes: Vec<maskfrac::obs::ShapeRecord>,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let report = maskfrac::obs::RunReport::capture(binary, started).with_shapes(shapes);
-    report.validate()?;
-    report.save(path)?;
-    println!("wrote {}", path.display());
-    Ok(())
-}
-
-/// Rejects flags the subcommand does not know, so a typo like
-/// `--thread 4` fails loudly instead of being silently ignored.
-fn check_flags(args: &[String], allowed: &[&str]) -> Result<(), Box<dyn std::error::Error>> {
-    for a in args.iter().filter(|a| a.starts_with("--")) {
-        if !allowed.contains(&a.as_str()) {
-            return Err(if allowed.is_empty() {
-                format!("unknown flag {a} (this subcommand takes no flags)").into()
-            } else {
-                format!("unknown flag {a} (expected one of: {})", allowed.join(", ")).into()
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Parses an optional numeric flag, naming the flag and the offending
-/// value in the error.
-fn parsed_flag<T>(args: &[String], flag: &str) -> Result<Option<T>, Box<dyn std::error::Error>>
-where
-    T: std::str::FromStr,
-    T::Err: std::fmt::Display,
-{
-    match flag_value(args, flag) {
-        None => Ok(None),
-        Some(raw) => raw
-            .parse::<T>()
-            .map(Some)
-            .map_err(|e| format!("{flag} {raw:?}: {e}").into()),
-    }
-}
-
 /// Builds the fracture configuration shared by the fracture subcommands,
 /// honouring `--deadline-ms`.
 fn config_from_flags(args: &[String]) -> Result<FractureConfig, Box<dyn std::error::Error>> {
     let mut cfg = FractureConfig::default();
-    if let Some(ms) = parsed_flag::<u64>(args, "--deadline-ms")? {
+    if let Some(ms) = flags::parsed::<u64>(args, "--deadline-ms")? {
         if ms == 0 {
             return Err("--deadline-ms must be positive".into());
         }
@@ -268,18 +130,16 @@ fn default_layout_threads() -> usize {
 }
 
 fn cmd_fracture(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let mut allowed = vec!["--method", "--svg", "--out", "--deadline-ms"];
-    allowed.extend_from_slice(&OBS_FLAGS);
-    check_flags(args, &allowed)?;
+    let obs = ObsFlags::parse(args, &["--method", "--svg", "--out", "--deadline-ms"])?;
     let path = args
         .first()
         .filter(|a| !a.starts_with("--"))
         .ok_or("fracture needs a shape.json path")?;
     let file = ShapeFile::load(path)?;
-    let method = flag_value(args, "--method").unwrap_or("ours");
+    let method = flags::value(args, "--method")?.unwrap_or("ours");
+    let out = flags::value(args, "--out")?;
+    let svg = flags::value(args, "--svg")?;
     let cfg = config_from_flags(args)?;
-    let obs = obs_from_flags(args)?;
-    let _telemetry = obs.start_telemetry()?;
     let started = std::time::Instant::now();
 
     let fracturer: Box<dyn MaskFracturer> = match method {
@@ -297,25 +157,9 @@ fn cmd_fracture(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         .map_err(|e| format!("shape {:?}: {e}", file.id))?;
     let result = fracturer.fracture(&file.polygon);
     result.status.tally();
-    report(&file.id, method, &result, args, &file)?;
-    emit_shape_report(&file.id, method, &result, started, &obs)
-}
-
-/// Finishes the single-shape run: flushes captured events and writes the
-/// run report when `--metrics-out` was given.
-fn emit_shape_report(
-    id: &str,
-    method: &str,
-    result: &maskfrac::fracture::FractureResult,
-    started: std::time::Instant,
-    obs: &ObsFlags,
-) -> Result<(), Box<dyn std::error::Error>> {
-    obs.flush_events()?;
-    let Some(path) = obs.metrics_out.as_deref() else {
-        return Ok(());
-    };
-    let shapes = vec![maskfrac::obs::ShapeRecord {
-        id: id.to_owned(),
+    report(&file, method, &result, out, svg)?;
+    let record = maskfrac::obs::ShapeRecord {
+        id: file.id.clone(),
         status: result.status.label().to_owned(),
         method: method.to_owned(),
         shots: result.shot_count(),
@@ -327,17 +171,20 @@ fn emit_shape_report(
         off_fail_pixels: result.summary.off_fails,
         cache: String::new(),
         deadline_hit: result.deadline_hit,
-    }];
-    write_run_report("maskfrac", started, path, shapes)
+    };
+    Ok(obs.finish("maskfrac", started, vec![record], None)?)
 }
 
+/// Prints the one-line result and writes the `--out` shot file and the
+/// `--svg` rendering when asked.
 fn report(
-    id: &str,
+    file: &ShapeFile,
     method: &str,
     result: &maskfrac::fracture::FractureResult,
-    args: &[String],
-    file: &ShapeFile,
+    out: Option<&str>,
+    svg: Option<&str>,
 ) -> Result<(), Box<dyn std::error::Error>> {
+    let id = &file.id;
     println!(
         "{id}: {method} -> {} shots, {} failing pixels, {:.2} s [{}]",
         result.shot_count(),
@@ -345,7 +192,7 @@ fn report(
         result.runtime.as_secs_f64(),
         result.status
     );
-    if let Some(out) = flag_value(args, "--out") {
+    if let Some(out) = out {
         let saved = ShapeFile {
             id: format!("{id}:{method}"),
             polygon: file.polygon.clone(),
@@ -354,7 +201,7 @@ fn report(
         saved.save(out)?;
         println!("wrote {out}");
     }
-    if let Some(svg_path) = flag_value(args, "--svg") {
+    if let Some(svg_path) = svg {
         let view = file
             .polygon
             .bbox()
@@ -378,8 +225,8 @@ fn report(
 fn fault_scope_from_flags(
     args: &[String],
 ) -> Result<Option<maskfrac::fracture::faults::FaultScope>, Box<dyn std::error::Error>> {
-    let rate = parsed_flag::<f64>(args, "--fault-rate")?;
-    let crash = parsed_flag::<f64>(args, "--fault-crash-rate")?;
+    let rate = flags::parsed::<f64>(args, "--fault-rate")?;
+    let crash = flags::parsed::<f64>(args, "--fault-crash-rate")?;
     if rate.is_none() && crash.is_none() {
         return Ok(None);
     }
@@ -402,30 +249,33 @@ fn fault_scope_from_flags(
         )
         .into());
     }
-    let seed = parsed_flag::<u64>(args, "--fault-seed")?.unwrap_or(0);
+    let seed = flags::parsed::<u64>(args, "--fault-seed")?.unwrap_or(0);
     let plan = maskfrac::fracture::FaultPlan::uniform(seed, rate).with_crash_rate(crash);
     Ok(Some(maskfrac::fracture::faults::arm_scoped(plan)))
 }
 
 fn cmd_fracture_layout(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let mut allowed = vec![
-        "--threads",
-        "--deadline-ms",
-        "--checkpoint",
-        "--resume",
-        "--geom-cache",
-        "--fault-seed",
-        "--fault-rate",
-        "--fault-crash-rate",
-    ];
-    allowed.extend_from_slice(&OBS_FLAGS);
-    check_flags(args, &allowed)?;
+    // Bind the telemetry endpoint before the (potentially slow) layout
+    // load so scrapers can attach from the very start of the run.
+    let obs = ObsFlags::parse(
+        args,
+        &[
+            "--threads",
+            "--deadline-ms",
+            "--checkpoint",
+            "--resume",
+            "--geom-cache",
+            "--fault-seed",
+            "--fault-rate",
+            "--fault-crash-rate",
+            "--progress-ms",
+        ],
+    )?;
     let path = args
         .first()
         .filter(|a| !a.starts_with("--"))
         .ok_or("fracture-layout needs a layout.txt or layout.json path")?;
-    let threads =
-        parsed_flag::<usize>(args, "--threads")?.unwrap_or_else(default_layout_threads);
+    let threads = flags::parsed::<usize>(args, "--threads")?.unwrap_or_else(default_layout_threads);
     if threads == 0 {
         return Err("--threads must be at least 1".into());
     }
@@ -436,17 +286,20 @@ fn cmd_fracture_layout(args: &[String]) -> Result<(), Box<dyn std::error::Error>
         )
         .into());
     }
-    let checkpoint = flag_value(args, "--checkpoint").map(|p| maskfrac::mdp::CheckpointOptions {
-        path: std::path::PathBuf::from(p),
-        resume: args.iter().any(|a| a == "--resume"),
-    });
+    let checkpoint =
+        flags::value(args, "--checkpoint")?.map(|p| maskfrac::mdp::CheckpointOptions {
+            path: std::path::PathBuf::from(p),
+            resume: args.iter().any(|a| a == "--resume"),
+        });
     if checkpoint.is_none() && args.iter().any(|a| a == "--resume") {
         return Err("--resume needs --checkpoint <path>".into());
     }
-    // Bind the telemetry endpoint before the (potentially slow) layout
-    // load so scrapers can attach from the very start of the run.
-    let obs = obs_from_flags(args)?;
-    let _telemetry = obs.start_telemetry()?;
+    // The sampler reports shapes done out of the layout's total, so
+    // `--progress-ms` belongs to this subcommand alone.
+    let progress_every = match flags::parsed::<u64>(args, "--progress-ms")? {
+        Some(0) => return Err("--progress-ms must be positive".into()),
+        ms => ms.map(std::time::Duration::from_millis),
+    };
     let layout = maskfrac::mdp::load_layout(path)?;
     println!(
         "layout {:?}: {} shapes, {} instances",
@@ -457,11 +310,13 @@ fn cmd_fracture_layout(args: &[String]) -> Result<(), Box<dyn std::error::Error>
     let cfg = config_from_flags(args)?;
     let options = maskfrac::mdp::LayoutOptions {
         threads,
-        geom_cache: flag_value(args, "--geom-cache").map(std::path::PathBuf::from),
+        geom_cache: flags::value(args, "--geom-cache")?.map(std::path::PathBuf::from),
     };
     let _faults = fault_scope_from_flags(args)?;
     let started = std::time::Instant::now();
-    let progress = obs.start_progress(Some(layout.shape_count() as u64));
+    let progress = progress_every.map(|every| {
+        maskfrac::obs::ProgressSampler::start(every, Some(layout.shape_count() as u64))
+    });
     let report = match &checkpoint {
         Some(checkpoint) => {
             maskfrac::mdp::fracture_layout_journaled(&layout, &cfg, &options, checkpoint)?
@@ -471,11 +326,8 @@ fn cmd_fracture_layout(args: &[String]) -> Result<(), Box<dyn std::error::Error>
     if let Some(sampler) = progress {
         sampler.stop();
     }
-    obs.flush_events()?;
-    if let Some(path) = obs.metrics_out.as_deref() {
-        let shapes = report.per_shape.iter().map(|s| s.ledger_record()).collect();
-        write_run_report("maskfrac", started, path, shapes)?;
-    }
+    let shapes = report.per_shape.iter().map(|s| s.ledger_record()).collect();
+    obs.finish("maskfrac", started, shapes, None)?;
     for s in &report.per_shape {
         println!(
             "  {:16} {:>4} shots/instance x {:>5} instances ({} failing px, {:.2} s) [{} via {}]",
@@ -516,13 +368,13 @@ fn cmd_fracture_layout(args: &[String]) -> Result<(), Box<dyn std::error::Error>
 }
 
 fn cmd_generate_ilt(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    check_flags(args, &["--seed", "--radius"])?;
+    flags::check(args, &["--seed", "--radius"])?;
     let path = args
         .first()
         .filter(|a| !a.starts_with("--"))
         .ok_or("generate-ilt needs an output path")?;
-    let seed: u64 = parsed_flag(args, "--seed")?.unwrap_or(0);
-    let radius: f64 = parsed_flag(args, "--radius")?.unwrap_or(45.0);
+    let seed: u64 = flags::parsed(args, "--seed")?.unwrap_or(0);
+    let radius: f64 = flags::parsed(args, "--radius")?.unwrap_or(45.0);
     let clip = generate_ilt_clip(&IltParams {
         base_radius: radius,
         seed,
@@ -543,13 +395,13 @@ fn cmd_generate_ilt(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_generate_benchmark(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    check_flags(args, &["--seed", "--shots"])?;
+    flags::check(args, &["--seed", "--shots"])?;
     let path = args
         .first()
         .filter(|a| !a.starts_with("--"))
         .ok_or("generate-benchmark needs an output path")?;
-    let seed: u64 = parsed_flag(args, "--seed")?.unwrap_or(0);
-    let shots: usize = parsed_flag(args, "--shots")?.unwrap_or(5);
+    let seed: u64 = flags::parsed(args, "--seed")?.unwrap_or(0);
+    let shots: usize = flags::parsed(args, "--shots")?.unwrap_or(5);
     let cfg = FractureConfig::default();
     let shape = generate_benchmark(
         &cfg.model(),
@@ -571,7 +423,7 @@ fn cmd_generate_benchmark(args: &[String]) -> Result<(), Box<dyn std::error::Err
 
 /// Independently re-simulates the shots stored in a shape file.
 fn cmd_verify(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    check_flags(args, &[])?;
+    flags::check(args, &[])?;
     let path = args
         .first()
         .filter(|a| !a.starts_with("--"))

@@ -2,7 +2,10 @@
 //! valid shape comes back as a shot list the independent verifier
 //! accepts, a degenerate one as a typed error naming the shape.
 //! `maskfrac fracture-layout` takes no supervisor-tuning flags: its
-//! fallback ladder and hung-shape watchdog are fixed.
+//! fallback ladder and hung-shape watchdog are fixed. Both commands read
+//! their flags through `maskfrac::obs::flags`: a value flag without its
+//! value fails naming the flag, and the observability artifacts they
+//! write pass their own validators.
 
 use maskfrac::geom::{Point, Polygon, Rect};
 use maskfrac::shapes::io::ShapeFile;
@@ -11,8 +14,9 @@ use std::process::{Command, Output};
 
 const METHODS: [&str; 6] = ["ours", "gsc", "mp", "proto-eda", "conventional", "exact"];
 
-fn scratch_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("maskfrac-cli-methods-{}", std::process::id()));
+/// A fresh temp directory per test, so no test removes another's files.
+fn scratch_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("maskfrac-cli-{test}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -23,6 +27,9 @@ fn maskfrac(args: &[&str]) -> Output {
         .output()
         .expect("spawn maskfrac")
 }
+
+const CLIP: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/benchmarks/clip-1.json");
+const SMOKE_LAYOUT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/layouts/smoke.layout");
 
 fn write_shape(dir: &Path, id: &str, polygon: Polygon) -> String {
     let path = dir.join(format!("{id}.json"));
@@ -38,7 +45,7 @@ fn write_shape(dir: &Path, id: &str, polygon: Polygon) -> String {
 
 #[test]
 fn every_method_fractures_an_l_and_rejects_a_sliver() {
-    let dir = scratch_dir();
+    let dir = scratch_dir("methods");
     // 80×80 nm L with 30 nm arms.
     let l = Polygon::new(vec![
         Point::new(0, 0),
@@ -139,4 +146,81 @@ fn fracture_layout_rejects_overflowing_fault_bands() {
             "{flags:?}: {stderr}"
         );
     }
+}
+
+#[test]
+fn fracture_rejects_progress_ms() {
+    // The progress sampler reports shapes done out of a layout's total;
+    // only fracture-layout takes it.
+    let run = maskfrac(&["fracture", CLIP, "--progress-ms", "1"]);
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(!run.status.success(), "fracture accepted --progress-ms");
+    assert!(stderr.contains("unknown flag --progress-ms"), "{stderr}");
+}
+
+#[test]
+fn value_flags_without_a_value_fail_naming_the_flag() {
+    let dir = scratch_dir("missing-values");
+    for args in [
+        &["fracture", CLIP, "--metrics-out", "--trace"][..],
+        &["fracture", CLIP, "--metrics-out"][..],
+        &["fracture", CLIP, "--out"][..],
+        &["fracture-layout", SMOKE_LAYOUT, "--events-out", "--trace"][..],
+        &["fracture-layout", SMOKE_LAYOUT, "--threads"][..],
+    ] {
+        let flag = args[2];
+        let run = Command::new(env!("CARGO_BIN_EXE_maskfrac"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn maskfrac");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(!run.status.success(), "{args:?} was accepted");
+        assert!(
+            stderr.contains(&format!("{flag} needs a value")),
+            "{args:?}: {stderr}"
+        );
+    }
+    // Nothing was written under the name of the flag that followed.
+    assert!(!dir.join("--trace").exists());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn fracture_layout_writes_valid_observability_artifacts() {
+    let dir = scratch_dir("artifacts");
+    let report = dir.join("report.json");
+    let trace = dir.join("trace.json");
+    let events = dir.join("events.jsonl");
+    let run = maskfrac(&[
+        "fracture-layout",
+        SMOKE_LAYOUT,
+        "--threads",
+        "2",
+        "--metrics-out",
+        report.to_str().unwrap(),
+        "--trace-out",
+        trace.to_str().unwrap(),
+        "--events-out",
+        events.to_str().unwrap(),
+    ]);
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+
+    let loaded = maskfrac::obs::RunReport::load(&report).unwrap();
+    loaded.validate().unwrap();
+    assert_eq!(loaded.binary, "maskfrac");
+    assert!(!loaded.shapes.is_empty(), "the report carries no ledger");
+
+    let read = maskfrac::obs::event::read_jsonl(&std::fs::read(&events).unwrap()).unwrap();
+    assert!(!read.is_empty(), "no events captured");
+    maskfrac::obs::event::validate(&read).unwrap();
+
+    let chrome = maskfrac::obs::json::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+    let rows = chrome["traceEvents"].as_array().unwrap();
+    assert_eq!(rows.len(), read.len(), "trace and JSON Lines disagree");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
